@@ -1,11 +1,11 @@
 """The bundled application registry.
 
-``get_app`` returns a validated :class:`ApplicationSpec` by name; the
-same specs ship as JSON files under ``specs/`` (one per application,
-regenerated by ``python -m repro.apps.registry``) so external tools can
-consume the schema without importing Python.  ``verify_bundled`` pins
-that the committed JSON files parse, validate, round-trip byte-stably,
-and match the in-code builders — CI runs it as the spec lint gate.
+Each bundled application is defined by one committed JSON file under
+``specs/`` and nothing else; ``get_app`` parses and validates it by
+name, and external tools can consume the same files without importing
+Python.  ``verify_bundled`` pins that every committed file parses,
+validates, and is byte-stable canonical JSON — CI runs it (through
+``repro apps --validate``) as the spec lint gate.
 """
 
 from __future__ import annotations
@@ -23,15 +23,6 @@ APP_NAMES = ("teastore", "boutique", "socialnet")
 SPEC_DIR = pathlib.Path(__file__).with_name("specs")
 
 
-def _builders():
-    from repro.apps.boutique import boutique_app
-    from repro.apps.socialnet import socialnet_app
-    from repro.apps.teastore_app import teastore_app
-    return {"teastore": lambda: teastore_app(),
-            "boutique": boutique_app,
-            "socialnet": socialnet_app}
-
-
 def get_app(name: str, fast: bool = False) -> ApplicationSpec:
     """One bundled application spec (``fast`` applies test-scale sizing).
 
@@ -40,11 +31,7 @@ def get_app(name: str, fast: bool = False) -> ApplicationSpec:
     ``ExperimentSettings.application()`` instead, so the TeaStore config
     knobs keep working.
     """
-    builders = _builders()
-    if name not in builders:
-        raise ConfigurationError(
-            f"unknown application {name!r}; choose from {APP_NAMES}")
-    return builders[name]().sized(fast)
+    return load_bundled(name).sized(fast)
 
 
 def spec_path(name: str) -> pathlib.Path:
@@ -56,14 +43,22 @@ def spec_path(name: str) -> pathlib.Path:
 
 
 def load_bundled(name: str) -> ApplicationSpec:
-    """Parse and validate one bundled JSON spec file."""
-    return spec_mod.load_file(spec_path(name))
+    """Parse and validate one bundled JSON spec file.
+
+    TeaStore's file is read when :mod:`repro.teastore` is imported, so a
+    broken ``teastore.json`` fails the import with this error, naming
+    the file, just as a broken module would.
+    """
+    path = spec_path(name)
+    try:
+        return spec_mod.load_file(path)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path.name}: {exc}") from None
 
 
 def verify_bundled() -> list[str]:
-    """Check every bundled JSON file parses, round-trips byte-stably,
-    and matches its in-code builder.  Returns problem descriptions
-    (empty = all good)."""
+    """Check every bundled JSON file parses, validates, and is byte-stable
+    canonical JSON.  Returns problem descriptions (empty = all good)."""
     problems: list[str] = []
     for name in APP_NAMES:
         path = spec_path(name)
@@ -79,26 +74,5 @@ def verify_bundled() -> list[str]:
         if loaded.dumps() != text:
             problems.append(
                 f"{name}: {path.name} is not byte-stable canonical JSON "
-                f"(regenerate with: python -m repro.apps.registry)")
-        built = get_app(name)
-        if loaded.to_dict() != built.to_dict():
-            problems.append(
-                f"{name}: {path.name} diverges from the in-code builder "
-                f"(regenerate with: python -m repro.apps.registry)")
+                f"(expected the ApplicationSpec.dumps() form)")
     return problems
-
-
-def write_bundled() -> list[pathlib.Path]:
-    """(Re)generate the bundled JSON spec files from the builders."""
-    SPEC_DIR.mkdir(exist_ok=True)
-    written = []
-    for name in APP_NAMES:
-        path = spec_path(name)
-        get_app(name).dump_file(path)
-        written.append(path)
-    return written
-
-
-if __name__ == "__main__":  # pragma: no cover
-    for written_path in write_bundled():
-        print(f"wrote {written_path}")

@@ -1,218 +1,41 @@
-"""TeaStore expressed as an :class:`ApplicationSpec`.
+"""TeaStore, the paper's application: the bundled spec, calibrated.
 
-The first bundled application: the same six services, endpoints, demand
-constants, and session profiles that :mod:`repro.teastore` has always
-modelled, now authored as data.  ``teastore_app(config)`` is
-parameterized by :class:`~repro.teastore.config.TeaStoreConfig`, so the
-calibration knobs (demand scale, cache hit rates, DB serialized
-fractions, replica/worker sizing) flow into the spec; the committed
-golden digests pin that the compiled spec behaves byte-identically to
-the hand-written handlers it replaced.
+``specs/teastore.json`` is the only definition of TeaStore's services,
+endpoints, demands, footprints and session profiles.
+``teastore_app(config)`` parses it and writes the
+:class:`~repro.teastore.config.TeaStoreConfig` knobs into their fixed
+places:
+
+* per-service ``replicas`` and ``workers``;
+* the application's ``demand_scale`` and ``demand_cv``;
+* the ``hit_rate`` of ``image.get`` and of ``image.get_batch``;
+* the ``serial_fraction`` of ``db.read`` and of ``db.write``.
+
+A default config writes back exactly the committed values, so
+``teastore_app()`` equals ``load_bundled("teastore")``.
 """
 
 from __future__ import annotations
 
-import typing as t
+import json
 
-from repro.apps.spec import ApplicationSpec, EndpointDef, ServiceDef, SessionDef
-from repro.teastore import catalog
-from repro.teastore.config import TeaStoreConfig
-from repro.teastore.profiles import BROWSE_TRANSITIONS, BUY_TRANSITIONS
-
-#: Preview images fetched per category page.
-CATEGORY_PREVIEW_IMAGES = 8
-
-#: Default placement hints: each service's approximate share of total
-#: CPU demand under the browse mix (matches E6's demand weights).
-DEMAND_WEIGHTS = {
-    "webui": 0.37, "auth": 0.08, "persistence": 0.14, "image": 0.15,
-    "recommender": 0.07, "db": 0.19,
-}
-
-#: WebUI page bodies between the parse and render compute steps.
-_PAGE_BODIES: dict[str, list[dict[str, t.Any]]] = {
-    "home": [
-        {"op": "call", "service": "auth", "endpoint": "validate"},
-        {"op": "gather", "calls": [
-            {"service": "persistence", "endpoint": "get_categories"},
-            {"service": "image", "endpoint": "get"}]},
-    ],
-    "login": [
-        {"op": "call", "service": "auth", "endpoint": "login"},
-        {"op": "call", "service": "persistence", "endpoint": "get_user"},
-    ],
-    "category": [
-        {"op": "call", "service": "auth", "endpoint": "validate"},
-        {"op": "gather", "calls": [
-            {"service": "persistence", "endpoint": "get_products"},
-            {"service": "image", "endpoint": "get_batch",
-             "payload": CATEGORY_PREVIEW_IMAGES}]},
-    ],
-    "product": [
-        {"op": "call", "service": "auth", "endpoint": "validate"},
-        {"op": "gather", "calls": [
-            {"service": "persistence", "endpoint": "get_product"},
-            {"service": "image", "endpoint": "get"},
-            {"service": "recommender", "endpoint": "recommend"}]},
-    ],
-    "add_to_cart": [
-        {"op": "call", "service": "auth", "endpoint": "validate"},
-        {"op": "call", "service": "persistence", "endpoint": "cart_update"},
-    ],
-    "logout": [
-        {"op": "call", "service": "auth", "endpoint": "logout"},
-    ],
-    "cart_view": [
-        {"op": "call", "service": "auth", "endpoint": "validate"},
-        {"op": "gather", "calls": [
-            {"service": "persistence", "endpoint": "get_cart"},
-            {"service": "image", "endpoint": "get_batch", "payload": 3}]},
-    ],
-    "checkout": [
-        {"op": "call", "service": "auth", "endpoint": "validate"},
-        {"op": "call", "service": "persistence", "endpoint": "place_order"},
-    ],
-}
-
-#: The fast-preset sizing experiments use on medium/small/tiny machines
-#: (mirrors ``ExperimentSettings.store_config``).
-FAST_REPLICAS = {"webui": 2, "auth": 1, "persistence": 2, "image": 1,
-                 "recommender": 1, "db": 1}
-FAST_WORKERS = {"webui": 96, "auth": 16, "persistence": 32, "image": 32,
-                "recommender": 16, "db": 32}
+from repro.apps.registry import spec_path
+from repro.apps.spec import ApplicationSpec
+from repro.teastore.config import STEP_FIELDS, TeaStoreConfig
 
 
 def teastore_app(config: TeaStoreConfig | None = None) -> ApplicationSpec:
     """The TeaStore application spec, calibrated by ``config``."""
     config = config or TeaStoreConfig()
-    profiles = catalog.service_profiles()
-
-    def service(name: str, endpoints: list[EndpointDef],
-                shared_lock: bool = False) -> ServiceDef:
-        return ServiceDef(
-            name=name,
-            profile=profiles[name],
-            replicas=config.replica_count(name),
-            workers=config.worker_count(name),
-            fast_replicas=FAST_REPLICAS[name],
-            fast_workers=FAST_WORKERS[name],
-            demand_weight=DEMAND_WEIGHTS[name],
-            shared_lock=shared_lock,
-            endpoints=tuple(endpoints),
-        )
-
-    webui = service("webui", [
-        EndpointDef(
-            name=page,
-            steps=tuple(
-                [{"op": "compute", "demand": catalog.WEBUI_PARSE[page]}]
-                + _PAGE_BODIES[page]
-                + [{"op": "compute", "demand": catalog.WEBUI_RENDER[page]}]),
-            returns=f"<{page}>")
-        for page in ("home", "login", "category", "product", "add_to_cart",
-                     "logout", "cart_view", "checkout")
-    ])
-
-    auth = service("auth", [
-        EndpointDef(name="validate",
-                    steps=({"op": "compute",
-                            "demand": catalog.AUTH_VALIDATE},),
-                    returns="ok"),
-        EndpointDef(name="login",
-                    steps=({"op": "compute",
-                            "demand": catalog.AUTH_LOGIN},),
-                    returns="ok"),
-        EndpointDef(name="logout",
-                    steps=({"op": "compute",
-                            "demand": catalog.AUTH_LOGOUT},),
-                    returns="ok"),
-    ])
-
-    persistence = service("persistence", [
-        EndpointDef(
-            name=operation,
-            steps=(
-                {"op": "compute", "demand": catalog.PERSISTENCE[operation]},
-                {"op": "call", "service": "db",
-                 "endpoint": "read" if operation in reads else "write",
-                 "payload": catalog.DB_COST[operation]},
-            ),
-            returns={"entity": operation})
-        for reads in (("get_categories", "get_products", "get_product",
-                       "get_user", "get_cart"),)
-        for operation in ("get_categories", "get_products", "get_product",
-                          "get_user", "get_cart", "cart_update",
-                          "place_order")
-    ])
-
-    image = service("image", [
-        EndpointDef(
-            name="get",
-            steps=({"op": "cache",
-                    "hit_rate": config.image_cache_hit_rate,
-                    "hit_demand": catalog.IMAGE_HIT,
-                    "miss_demand": catalog.IMAGE_MISS},),
-            returns="png"),
-        EndpointDef(
-            name="get_batch",
-            steps=({"op": "cached_batch",
-                    "default_count": CATEGORY_PREVIEW_IMAGES,
-                    "hit_rate": config.image_preview_hit_rate,
-                    "hit_demand": catalog.IMAGE_PREVIEW_HIT,
-                    "miss_demand": catalog.IMAGE_PREVIEW_MISS},),
-            returns="pngs"),
-    ])
-
-    recommender = service("recommender", [
-        EndpointDef(
-            name="recommend",
-            steps=({"op": "compute", "demand": catalog.RECOMMEND},),
-            returns=["item"] * 3,
-            # Real TeaStore degrades recommendations to a static default
-            # when the Recommender is unreachable; product pages render
-            # without it.
-            fallback=["default"] * 3),
-    ])
-
-    db = service("db", [
-        EndpointDef(
-            name="read",
-            steps=({"op": "serialized_query",
-                    "serial_fraction": config.db_read_serial_fraction},),
-            returns="rows"),
-        EndpointDef(
-            name="write",
-            steps=({"op": "serialized_query",
-                    "serial_fraction": config.db_write_serial_fraction},),
-            returns="rows"),
-    ], shared_lock=True)
-
-    return ApplicationSpec(
-        name="teastore",
-        description="TeaStore (von Kistowski et al., ICPE 2018): the "
-                    "paper's six-service web store under a browse-heavy "
-                    "closed-loop load.",
-        services=(webui, auth, persistence, image, recommender, db),
-        sessions=(
-            SessionDef(name="browse", service="webui", start="home",
-                       transitions={
-                           state: tuple(nexts)
-                           for state, nexts in BROWSE_TRANSITIONS.items()}),
-            SessionDef(name="buy", service="webui", start="home",
-                       transitions={
-                           state: tuple(nexts)
-                           for state, nexts in BUY_TRANSITIONS.items()}),
-        ),
-        default_session="browse",
-        chaos_targets={
-            # The service on every request's critical path (entry point).
-            "orchestrator": "webui",
-            # The service with the highest inbound page weight.
-            "hottest": "auth",
-            # The storage backend at the bottom of the dependency chain.
-            "storage": "db",
-        },
-        shared_services=("persistence", "db"),
-        demand_scale=config.demand_scale,
-        demand_cv=config.demand_cv,
-    )
+    data = json.loads(spec_path("teastore").read_text(encoding="utf-8"))
+    data["demand_scale"] = config.demand_scale
+    data["demand_cv"] = config.demand_cv
+    services = {service["name"]: service for service in data["services"]}
+    for name, service in services.items():
+        service["replicas"] = config.replica_count(name)
+        service["workers"] = config.worker_count(name)
+    for field, (service, endpoint, key) in STEP_FIELDS.items():
+        [step] = next(entry for entry in services[service]["endpoints"]
+                      if entry["name"] == endpoint)["steps"]
+        step[key] = getattr(config, field)
+    return ApplicationSpec.from_dict(data)

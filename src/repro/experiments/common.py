@@ -6,6 +6,7 @@ import dataclasses
 import typing as t
 
 from repro._errors import ConfigurationError
+from repro.apps.registry import get_app
 from repro.apps.runtime import Application, deploy_application
 from repro.apps.spec import ApplicationSpec
 from repro.memory.config import MemoryConfig
@@ -84,16 +85,16 @@ class ExperimentSettings:
         return machine_from_preset(self.preset)
 
     def store_config(self, **overrides) -> TeaStoreConfig:
-        """A TeaStore configuration sized for this machine."""
+        """A TeaStore configuration sized for this machine (the spec's
+        fast sizing on the fast presets)."""
+        values: dict[str, t.Any] = {}
         if self.preset in ("medium", "small", "tiny"):
-            values: dict[str, t.Any] = dict(
-                replicas={"webui": 2, "auth": 1, "persistence": 2,
-                          "image": 1, "recommender": 1, "db": 1},
-                workers={"webui": 96, "auth": 16, "persistence": 32,
-                         "image": 32, "recommender": 16, "db": 32},
-            )
-        else:
-            values = {}
+            services = get_app("teastore", fast=True).services
+            values = dict(
+                replicas={service.name: service.replicas
+                          for service in services},
+                workers={service.name: service.workers
+                         for service in services})
         values.update(overrides)
         return TeaStoreConfig(**values)
 
@@ -107,7 +108,6 @@ class ExperimentSettings:
         if self.app == "teastore":
             from repro.apps.teastore_app import teastore_app
             return teastore_app(self.store_config())
-        from repro.apps.registry import get_app
         return get_app(self.app,
                        fast=self.preset in ("medium", "small", "tiny"))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import typing as t
 
 from repro._errors import ConfigurationError
+from repro.apps.registry import get_app
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
@@ -37,11 +38,6 @@ from repro.workload.cohorts import closed_workload
 from repro.workload.runner import run_experiment
 
 TITLE = "Co-location with a streaming batch neighbor"
-
-#: Demand weights for partitioning the store's CCX share (from E5).
-STORE_WEIGHTS = {"webui": 0.37, "auth": 0.08, "persistence": 0.14,
-                 "image": 0.15, "recommender": 0.07, "db": 0.19}
-
 
 #: Configurations in table order: (display name, neighbor mode).
 CONFIGS = (("store alone", "none"),
@@ -98,7 +94,10 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
         allocation = unpinned(machine, counts)
         neighbor_affinity = machine.all_cpus()
     else:
-        allocation = ccx_aware(machine, counts, STORE_WEIGHTS,
+        # The spec's demand weights (from E5) partition the store's
+        # CCX share.
+        allocation = ccx_aware(machine, counts,
+                               get_app("teastore").placement_weights(),
                                online=store_ccxs)
         neighbor_affinity = neighbor_ccxs
 

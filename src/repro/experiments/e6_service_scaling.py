@@ -21,6 +21,7 @@ import typing as t
 
 from repro.analysis.usl import fit_usl
 from repro._errors import ConfigurationError
+from repro.apps.registry import get_app
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
@@ -36,13 +37,6 @@ from repro.teastore.catalog import SERVICE_NAMES
 from repro.topology.model import Machine
 
 TITLE = "Per-service scale-up curves (CCX sweeps + USL fits)"
-
-#: Per-service CPU demand weights measured by E5 on the tuned baseline;
-#: used to budget the non-target services generously.
-DEMAND_WEIGHTS: dict[str, float] = {
-    "webui": 0.37, "auth": 0.08, "persistence": 0.14,
-    "image": 0.15, "recommender": 0.07, "db": 0.19,
-}
 
 #: Services swept by default, with their CCX ladders.
 DEFAULT_SWEEPS: dict[str, tuple[int, ...]] = {
@@ -165,7 +159,10 @@ def _target_allocation(machine: Machine, target: str, n_ccxs: int,
                                 range(total_ccxs - others_budget,
                                       total_ccxs))
     rest_counts = {service: counts[service] for service in others}
-    rest_weights = {service: DEMAND_WEIGHTS[service] for service in others}
+    # The spec's demand weights (measured by E5 on the tuned baseline)
+    # budget the non-target services generously.
+    weights = get_app("teastore").placement_weights()
+    rest_weights = {service: weights[service] for service in others}
     rest = ccx_aware(machine, rest_counts, rest_weights,
                      online=rest_online)
     placements = {service: list(rest.replicas(service))

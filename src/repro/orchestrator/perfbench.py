@@ -24,17 +24,16 @@ under :mod:`tracemalloc` and records its peak traced allocation (plus the
 process's RUSAGE high-water RSS for context) as a ``metric: "mem"``
 trajectory entry, gated by :func:`check_memory_against_baseline`.
 
-Schema v2 additionally rotates the trajectory — the newest
-:data:`_KEEP_PER_GROUP` entries per (mode, metric) group plus the
-artifact's first-ever entry survive — so the committed file stays
-bounded no matter how often the harness runs.  v1 artifacts are read
-transparently and upgraded on the next append.
+The artifact is written by
+:func:`repro.orchestrator.bench.append_to_trajectory`, which keeps the
+newest :data:`_KEEP_PER_GROUP` entries per (mode, metric) group plus
+the first-ever entry.  v1 artifacts are read transparently and upgraded
+on the next append.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 import platform
 import resource
@@ -45,11 +44,12 @@ import typing as t
 from repro._errors import ConfigurationError
 from repro.experiments.common import ExperimentSettings
 from repro.orchestrator import plan as plan_mod
+from repro.orchestrator.bench import append_to_trajectory, load_trajectory
 from repro.orchestrator.executor import execute_point
 from repro.sim import kernel as kernel_mod
 
-#: Artifact schema version; bump on layout changes.
-PERF_BENCH_VERSION = 2
+#: The perf artifact's name.
+PERF_ARTIFACT = "repro-perf-bench"
 
 #: Default regression gate: fail when a slice is >25% slower than the
 #: committed baseline.
@@ -558,22 +558,9 @@ def memory_entry(results: t.Sequence[MemSliceResult], mode: str,
     return entry
 
 
-def _rotate(entries: list[dict[str, t.Any]]) -> list[dict[str, t.Any]]:
-    """Newest :data:`_KEEP_PER_GROUP` per (mode, metric) + the first ever.
-
-    The first-ever entry is the fixed "where this repo started" reference
-    point; everything else ages out group by group.
-    """
-    if not entries:
-        return entries
-    keep = {0}
-    groups: dict[tuple[str, str], list[int]] = {}
-    for index, entry in enumerate(entries):
-        key = (entry.get("mode", ""), entry.get("metric", "wall"))
-        groups.setdefault(key, []).append(index)
-    for indices in groups.values():
-        keep.update(indices[-_KEEP_PER_GROUP:])
-    return [entries[index] for index in sorted(keep)]
+def _group(entry: dict[str, t.Any]) -> tuple[str, str]:
+    """The rotation group of one entry: its mode and metric."""
+    return entry.get("mode", ""), entry.get("metric", "wall")
 
 
 def append_trajectory(path: str | pathlib.Path,
@@ -582,28 +569,8 @@ def append_trajectory(path: str | pathlib.Path,
 
     Reads schema v1 or v2; always writes v2 (rotated trajectory).
     """
-    target = pathlib.Path(path)
-    if target.exists():
-        payload = json.loads(target.read_text(encoding="utf-8"))
-        if payload.get("artifact") != "repro-perf-bench":
-            raise ConfigurationError(
-                f"{target} exists but is not a repro-perf-bench artifact")
-        version = payload.get("version", 1)
-        if version not in (1, PERF_BENCH_VERSION):
-            raise ConfigurationError(
-                f"{target} has unsupported schema version {version}")
-        payload["version"] = PERF_BENCH_VERSION
-    else:
-        payload = {"artifact": "repro-perf-bench",
-                   "version": PERF_BENCH_VERSION,
-                   "trajectory": []}
-    payload["trajectory"].append(entry)
-    payload["trajectory"] = _rotate(payload["trajectory"])
-    if target.parent != pathlib.Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=2) + "\n",
-                      encoding="utf-8")
-    return payload
+    return append_to_trajectory(path, entry, PERF_ARTIFACT, _group,
+                                _KEEP_PER_GROUP)
 
 
 def baseline_entry(path: str | pathlib.Path, mode: str,
@@ -624,8 +591,7 @@ def baseline_entry(path: str | pathlib.Path, mode: str,
     """
     if kernel is None:
         kernel = kernel_mod.active_backend()
-    payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    entries = [entry for entry in payload.get("trajectory", [])
+    entries = [entry for entry in load_trajectory(path, PERF_ARTIFACT)
                if entry.get("mode") == mode
                and entry.get("metric", "wall") == metric
                and entry.get("kernel", "python") == kernel

@@ -22,7 +22,6 @@ The paper's headline gains come from two levers applied together:
 """
 
 from repro.placement.allocation import Allocation, ReplicaPlacement
-from repro.placement.autoscaler import Autoscaler, ScalingEvent
 from repro.placement.optimizer import OptimizationStep, optimize_ccx_budget
 from repro.placement.policies import (
     ccx_aware,
@@ -38,11 +37,9 @@ from repro.placement.scaling import (
 
 __all__ = [
     "Allocation",
-    "Autoscaler",
     "OptimizationStep",
     "ReplicaPlacement",
     "ScalingCurve",
-    "ScalingEvent",
     "ccx_aware",
     "ccx_aware_auto",
     "node_spread",

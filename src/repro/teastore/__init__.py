@@ -12,11 +12,14 @@ substrate:
 * :mod:`~repro.teastore.config` — replica counts, worker pools, CPU-demand
   calibration knobs.
 * :mod:`~repro.teastore.catalog` — the per-service
-  :class:`~repro.memory.WorkloadProfile` footprints and demand constants.
-* :mod:`~repro.teastore.services` — endpoint handlers for every service.
-* :mod:`~repro.teastore.profiles` — the browse-profile Markov session.
+  :class:`~repro.memory.WorkloadProfile` footprints.
+* :mod:`~repro.teastore.profiles` — the browse and buy Markov sessions.
 * :mod:`~repro.teastore.store` — assembly: build and place a whole store
   on a deployment.
+
+The services, endpoints, demands, footprints and sessions themselves
+are data: the bundled ``teastore.json`` spec, which every module here
+reads (see :mod:`repro.apps.teastore_app`).
 
 The Registry service is represented by the substrate's
 :class:`~repro.services.ServiceRegistry` (discovery) rather than a CPU
@@ -27,8 +30,6 @@ negligible CPU, and its discovery function is what matters here.
 from repro.teastore.catalog import SERVICE_NAMES, service_profiles
 from repro.teastore.config import TeaStoreConfig
 from repro.teastore.profiles import (
-    BROWSE_TRANSITIONS,
-    BUY_TRANSITIONS,
     MarkovSessionProfile,
     browse_profile,
     buy_profile,
@@ -36,8 +37,6 @@ from repro.teastore.profiles import (
 from repro.teastore.store import TeaStore, build_teastore
 
 __all__ = [
-    "BROWSE_TRANSITIONS",
-    "BUY_TRANSITIONS",
     "MarkovSessionProfile",
     "SERVICE_NAMES",
     "TeaStore",

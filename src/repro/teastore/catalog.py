@@ -1,8 +1,9 @@
-"""Footprints, microarchitectural profiles, and CPU-demand calibration.
+"""Footprints and microarchitectural profiles of the TeaStore services.
 
-The absolute numbers are calibrated stand-ins (the paper's testbed is not
-reproducible), chosen to preserve the *relationships* its analysis rests
-on:
+The profiles, like every demand constant, live in the bundled
+``teastore.json`` spec.  Their absolute numbers are calibrated
+stand-ins (the paper's testbed is not reproducible), chosen to preserve
+the *relationships* its analysis rests on:
 
 * WebUI is the heaviest CPU consumer (template rendering), Recommender the
   lightest online service, the database the least scalable;
@@ -12,109 +13,17 @@ on:
   SPEC-class loop kernels;
 * the ImageProvider and database carry data working sets that overwhelm a
   16 MiB L3 slice when several services share it.
-
-All demand constants are milliseconds of CPU at base clock.
 """
 
 from __future__ import annotations
 
-from repro._units import mib, ms
+from repro.apps.registry import load_bundled
 from repro.memory.profile import WorkloadProfile
+from repro.teastore.config import SERVICE_NAMES
 
-#: The six modelled CPU-consuming TeaStore components.
-SERVICE_NAMES = ("webui", "auth", "persistence", "image",
-                 "recommender", "db")
+__all__ = ["SERVICE_NAMES", "service_profiles"]
 
 
 def service_profiles() -> dict[str, WorkloadProfile]:
     """Per-service memory/microarchitecture descriptors."""
-    return {
-        "webui": WorkloadProfile(
-            name="webui", code_bytes=mib(3.5), data_bytes=mib(6.0),
-            mem_intensity=0.45, frontend_intensity=0.70,
-            base_ipc=0.80, l1i_mpki=35.0, l1d_mpki=28.0, l2_mpki=10.0,
-            l3_mpki=1.2, branch_mpki=9.0),
-        "auth": WorkloadProfile(
-            name="auth", code_bytes=mib(1.2), data_bytes=mib(1.5),
-            mem_intensity=0.25, frontend_intensity=0.55,
-            base_ipc=1.05, l1i_mpki=22.0, l1d_mpki=15.0, l2_mpki=6.0,
-            l3_mpki=0.6, branch_mpki=6.0),
-        "persistence": WorkloadProfile(
-            name="persistence", code_bytes=mib(3.0), data_bytes=mib(8.0),
-            mem_intensity=0.50, frontend_intensity=0.60,
-            base_ipc=0.85, l1i_mpki=28.0, l1d_mpki=24.0, l2_mpki=9.0,
-            l3_mpki=1.5, branch_mpki=7.5),
-        "image": WorkloadProfile(
-            name="image", code_bytes=mib(1.8), data_bytes=mib(24.0),
-            mem_intensity=0.70, frontend_intensity=0.40,
-            base_ipc=0.75, l1i_mpki=15.0, l1d_mpki=35.0, l2_mpki=14.0,
-            l3_mpki=3.0, branch_mpki=4.0),
-        "recommender": WorkloadProfile(
-            name="recommender", code_bytes=mib(2.2), data_bytes=mib(10.0),
-            mem_intensity=0.55, frontend_intensity=0.45,
-            base_ipc=0.90, l1i_mpki=18.0, l1d_mpki=22.0, l2_mpki=8.0,
-            l3_mpki=1.8, branch_mpki=5.0),
-        "db": WorkloadProfile(
-            name="db", code_bytes=mib(3.8), data_bytes=mib(40.0),
-            mem_intensity=0.75, frontend_intensity=0.50,
-            base_ipc=0.70, l1i_mpki=20.0, l1d_mpki=40.0, l2_mpki=16.0,
-            l3_mpki=4.0, branch_mpki=6.5),
-    }
-
-
-# ---------------------------------------------------------------------------
-# CPU demand constants (seconds at base clock)
-# ---------------------------------------------------------------------------
-
-#: WebUI: request parsing/session handling per endpoint.
-WEBUI_PARSE = {
-    "home": ms(1.6), "login": ms(1.2), "category": ms(1.6),
-    "product": ms(1.6), "add_to_cart": ms(1.2), "logout": ms(0.8),
-    "cart_view": ms(1.2), "checkout": ms(1.6),
-}
-
-#: WebUI: template rendering per endpoint (the dominant cost).
-WEBUI_RENDER = {
-    "home": ms(4.0), "login": ms(2.4), "category": ms(4.8),
-    "product": ms(4.0), "add_to_cart": ms(2.0), "logout": ms(1.2),
-    "cart_view": ms(2.8), "checkout": ms(3.2),
-}
-
-#: Auth demands.
-AUTH_VALIDATE = ms(1.0)
-AUTH_LOGIN = ms(3.6)
-AUTH_LOGOUT = ms(0.8)
-
-#: Persistence demands (ORM/serialization work, excluding the DB call).
-PERSISTENCE = {
-    "get_categories": ms(1.6),
-    "get_products": ms(3.2),
-    "get_product": ms(1.6),
-    "get_user": ms(1.2),
-    "cart_update": ms(2.0),
-    "get_cart": ms(1.2),
-    "place_order": ms(2.8),
-}
-
-#: Database query execution costs, passed as the call payload.
-DB_COST = {
-    "get_categories": ms(2.0),
-    "get_products": ms(3.6),
-    "get_product": ms(2.0),
-    "get_user": ms(1.6),
-    "cart_update": ms(2.8),
-    "get_cart": ms(1.6),
-    "place_order": ms(5.6),  # multi-row transactional insert
-}
-
-#: ImageProvider: cache-hit serving vs miss (scale + re-encode) for
-#: full-size images (home banner, product page).
-IMAGE_HIT = ms(1.0)
-IMAGE_MISS = ms(7.2)
-
-#: Category-page preview thumbnails: tiny, overwhelmingly cached.
-IMAGE_PREVIEW_HIT = ms(0.25)
-IMAGE_PREVIEW_MISS = ms(2.4)
-
-#: Recommender online lookup.
-RECOMMEND = ms(3.6)
+    return load_bundled("teastore").profiles()

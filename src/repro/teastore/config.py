@@ -1,4 +1,10 @@
-"""TeaStore deployment configuration."""
+"""TeaStore deployment configuration.
+
+Every default here is read from the bundled ``teastore.json`` spec, so
+``TeaStoreConfig()`` describes exactly the committed file;
+:func:`repro.apps.teastore_app.teastore_app` writes each field back into
+its fixed place in that spec.
+"""
 
 from __future__ import annotations
 
@@ -6,35 +12,37 @@ import dataclasses
 import typing as t
 
 from repro._errors import ConfigurationError
+from repro.apps.registry import load_bundled
+
+#: Read once, at import: the constants and field defaults below need it.
+_SPEC = load_bundled("teastore")
 
 #: The six modelled CPU-consuming components.
-_KNOWN_SERVICES = ("webui", "auth", "persistence", "image",
-                   "recommender", "db")
+SERVICE_NAMES = _SPEC.service_names()
 
 #: Performance-tuned baseline replica counts for the 128-logical-CPU
-#: platform: sized by the services' relative CPU appetites (WebUI heaviest,
-#: Recommender light, one database), which is how the paper's baseline was
-#: tuned before topology awareness was applied.
-DEFAULT_REPLICAS: dict[str, int] = {
-    "webui": 4,
-    "auth": 2,
-    "persistence": 3,
-    "image": 2,
-    "recommender": 1,
-    "db": 1,
+#: platform and worker-pool widths (Tomcat threads / DB connections) per
+#: replica, as the spec sizes them.
+DEFAULT_REPLICAS = {service.name: service.replicas
+                    for service in _SPEC.services}
+DEFAULT_WORKERS = {service.name: service.workers
+                   for service in _SPEC.services}
+
+#: Where each per-step knob lives in the spec: the (service, endpoint)
+#: whose single step carries it, and the step key.
+STEP_FIELDS = {
+    "image_cache_hit_rate": ("image", "get", "hit_rate"),
+    "image_preview_hit_rate": ("image", "get_batch", "hit_rate"),
+    "db_read_serial_fraction": ("db", "read", "serial_fraction"),
+    "db_write_serial_fraction": ("db", "write", "serial_fraction"),
 }
 
-#: Worker-pool widths (Tomcat threads / DB connections) per replica —
-#: generous, as in the tuned testbed, so CPU rather than thread count is
-#: the binding resource.
-DEFAULT_WORKERS: dict[str, int] = {
-    "webui": 200,
-    "auth": 32,
-    "persistence": 64,
-    "image": 64,
-    "recommender": 32,
-    "db": 64,
-}
+
+def _step_default(field: str) -> float:
+    service, endpoint, key = STEP_FIELDS[field]
+    [step] = next(entry for entry in _SPEC.service(service).endpoints
+                  if entry.name == endpoint).steps
+    return step[key]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,21 +59,22 @@ class TeaStoreConfig:
         default_factory=lambda: dict(DEFAULT_REPLICAS))
     workers: t.Mapping[str, int] = dataclasses.field(
         default_factory=lambda: dict(DEFAULT_WORKERS))
-    demand_scale: float = 1.0
-    demand_cv: float = 0.25
-    image_cache_hit_rate: float = 0.75
-    image_preview_hit_rate: float = 0.95
-    db_read_serial_fraction: float = 0.05
-    db_write_serial_fraction: float = 0.12
+    demand_scale: float = _SPEC.demand_scale
+    demand_cv: float = _SPEC.demand_cv
+    image_cache_hit_rate: float = _step_default("image_cache_hit_rate")
+    image_preview_hit_rate: float = _step_default("image_preview_hit_rate")
+    db_read_serial_fraction: float = _step_default("db_read_serial_fraction")
+    db_write_serial_fraction: float = _step_default(
+        "db_write_serial_fraction")
 
     def __post_init__(self) -> None:
         for mapping_name in ("replicas", "workers"):
             mapping = getattr(self, mapping_name)
             for service, count in mapping.items():
-                if service not in _KNOWN_SERVICES:
+                if service not in SERVICE_NAMES:
                     raise ConfigurationError(
                         f"{mapping_name}: unknown service {service!r}; "
-                        f"known: {_KNOWN_SERVICES}")
+                        f"known: {SERVICE_NAMES}")
                 if count < 1:
                     raise ConfigurationError(
                         f"{mapping_name}[{service!r}] must be >= 1: {count}")

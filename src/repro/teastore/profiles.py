@@ -3,59 +3,32 @@
 TeaStore's load driver walks stochastic user profiles; the study uses the
 "browse" profile: users arrive at the home page, typically log in, browse
 categories and product pages, occasionally add items to their cart, and
-eventually log out.  The transition matrix below reconstructs that profile
-(the suite's LIMBO/Markov definition) — the exact probabilities shape the
-request mix, not the paper's conclusions.
+eventually log out.  The "buy" profile fills a cart and completes the
+order, stressing the database's serialized fraction.  Both transition
+matrices are session profiles of the bundled ``teastore.json`` spec
+(reconstructions of the suite's LIMBO/Markov definitions — the exact
+probabilities shape the request mix, not the paper's conclusions).
 """
 
 from __future__ import annotations
 
-from repro.workload.sessions import MarkovSessionProfile, Transitions
+from repro.apps.registry import load_bundled
+from repro.workload.sessions import MarkovSessionProfile
 
-__all__ = [
-    "BROWSE_TRANSITIONS",
-    "BUY_TRANSITIONS",
-    "MarkovSessionProfile",
-    "Transitions",
-    "browse_profile",
-    "buy_profile",
-]
+__all__ = ["MarkovSessionProfile", "browse_profile", "buy_profile"]
 
-#: The reconstructed TeaStore "browse" profile.
-BROWSE_TRANSITIONS: dict[str, list[tuple[str, float]]] = {
-    "home": [("login", 0.5), ("category", 0.5)],
-    "login": [("category", 1.0)],
-    "category": [("product", 0.55), ("category", 0.25), ("home", 0.20)],
-    "product": [("add_to_cart", 0.35), ("category", 0.45),
-                ("product", 0.10), ("home", 0.10)],
-    "add_to_cart": [("category", 0.55), ("product", 0.25),
-                    ("logout", 0.20)],
-    "logout": [("home", 1.0)],
-}
 
-#: The reconstructed TeaStore "buy" profile: users who fill a cart and
-#: complete the order — heavier on cart updates and the write-intensive
-#: checkout path, stressing the database's serialized fraction.
-BUY_TRANSITIONS: dict[str, list[tuple[str, float]]] = {
-    "home": [("login", 0.8), ("category", 0.2)],
-    "login": [("category", 1.0)],
-    "category": [("product", 0.70), ("category", 0.20), ("home", 0.10)],
-    "product": [("add_to_cart", 0.60), ("category", 0.30),
-                ("product", 0.10)],
-    "add_to_cart": [("cart_view", 0.35), ("category", 0.40),
-                    ("product", 0.25)],
-    "cart_view": [("checkout", 0.60), ("category", 0.30),
-                  ("add_to_cart", 0.10)],
-    "checkout": [("logout", 0.55), ("home", 0.45)],
-    "logout": [("home", 1.0)],
-}
+def _spec_profile(name: str) -> MarkovSessionProfile:
+    session = load_bundled("teastore").session(name)
+    return MarkovSessionProfile(session.transitions, start=session.start,
+                                service=session.service)
 
 
 def browse_profile() -> MarkovSessionProfile:
     """The standard browse profile used throughout the experiments."""
-    return MarkovSessionProfile(BROWSE_TRANSITIONS)
+    return _spec_profile("browse")
 
 
 def buy_profile() -> MarkovSessionProfile:
     """The order-completing profile (checkout-heavy, DB-write-intensive)."""
-    return MarkovSessionProfile(BUY_TRANSITIONS)
+    return _spec_profile("buy")

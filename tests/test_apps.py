@@ -3,8 +3,9 @@
 Covers the :mod:`repro.apps` layer introduced with the cross-application
 family: eager spec validation (unknown call targets, cycles, negative
 demands, broken role bindings), byte-stable JSON round-trips, the
-bundled-spec lint gate, and per-application determinism smoke digests
-for the two non-TeaStore graphs on every kernel backend.
+bundled-spec lint gate, the TeaStore config substitution, and
+per-application determinism smoke digests for the two non-TeaStore
+graphs on every kernel backend.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro._errors import ConfigurationError
 from repro.apps import (
     APP_NAMES,
@@ -20,6 +22,8 @@ from repro.apps import (
     get_app,
     load_bundled,
     loads,
+    registry,
+    spec_path,
     verify_bundled,
 )
 from repro.apps.spec import (
@@ -28,6 +32,7 @@ from repro.apps.spec import (
     ServiceDef,
     SessionDef,
 )
+from repro.apps.teastore_app import teastore_app
 from repro.chaos.catalog import builtin_catalog, resolve_target
 from repro.experiments.common import (
     ExperimentSettings,
@@ -37,6 +42,7 @@ from repro.experiments.common import (
 from repro.services.deployment import Deployment
 from repro.sim import kernel
 from repro.memory.profile import WorkloadProfile
+from repro.teastore.config import TeaStoreConfig
 
 from tests._kernels import backend_params
 
@@ -187,13 +193,80 @@ def test_spec_round_trip_is_byte_stable(name):
     assert reloaded.to_dict() == spec.to_dict()
 
 
-@pytest.mark.parametrize("name", APP_NAMES)
-def test_bundled_file_matches_builder(name):
-    assert load_bundled(name).to_dict() == get_app(name).to_dict()
+def _leaves(value, path=()):
+    """Every scalar in a JSON-native value, keyed by its path."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {path: value}
+    leaves = {}
+    for key, item in items:
+        leaves.update(_leaves(item, path + (key,)))
+    return leaves
+
+
+def _spec_location(service, endpoint, key):
+    """The path of ``key`` in the single step of service.endpoint."""
+    spec = load_bundled("teastore")
+    s_index = spec.service_names().index(service)
+    e_index = spec.services[s_index].endpoint_names().index(endpoint)
+    return ("services", s_index, "endpoints", e_index, "steps", 0, key)
+
+
+def test_teastore_app_substitutes_config_fields():
+    assert teastore_app(TeaStoreConfig()).to_dict() == \
+        load_bundled("teastore").to_dict()
+    default = _leaves(load_bundled("teastore").to_dict())
+    db = load_bundled("teastore").service_names().index("db")
+    cases = {
+        "replicas": ({"db": 5}, ("services", db, "replicas"), 5),
+        "workers": ({"db": 7}, ("services", db, "workers"), 7),
+        "demand_scale": (1.5, ("demand_scale",), 1.5),
+        "demand_cv": (0.5, ("demand_cv",), 0.5),
+        "image_cache_hit_rate": (
+            0.5, _spec_location("image", "get", "hit_rate"), 0.5),
+        "image_preview_hit_rate": (
+            0.5, _spec_location("image", "get_batch", "hit_rate"), 0.5),
+        "db_read_serial_fraction": (
+            0.5, _spec_location("db", "read", "serial_fraction"), 0.5),
+        "db_write_serial_fraction": (
+            0.5, _spec_location("db", "write", "serial_fraction"), 0.5),
+    }
+    assert set(cases) == {field.name
+                          for field in dataclasses.fields(TeaStoreConfig)}
+    for field, (value, location, expected) in cases.items():
+        changed = _leaves(teastore_app(
+            TeaStoreConfig(**{field: value})).to_dict())
+        assert changed.keys() == default.keys()
+        diff = {path: changed[path] for path in default
+                if changed[path] != default[path]}
+        assert diff == {location: expected}, field
 
 
 def test_verify_bundled_reports_no_problems():
     assert verify_bundled() == []
+
+
+@pytest.mark.parametrize("damage", ("non-canonical", "invalid"))
+def test_apps_validate_rejects_a_damaged_copy(tmp_path, monkeypatch,
+                                              capsys, damage):
+    for name in APP_NAMES:
+        (tmp_path / f"{name}.json").write_text(
+            spec_path(name).read_text(encoding="utf-8"), encoding="utf-8")
+    monkeypatch.setattr(registry, "SPEC_DIR", tmp_path)
+    assert cli.main(["apps", "--validate"]) == 0
+    data = json.loads((tmp_path / "boutique.json").read_text())
+    if damage == "non-canonical":
+        text = json.dumps(data, indent=4) + "\n"
+    else:
+        data["services"][0]["endpoints"][0]["steps"][0]["demand"] = -1.0
+        text = json.dumps(data, indent=2) + "\n"
+    (tmp_path / "boutique.json").write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["apps", "--validate"]) == 1
+    assert "SPEC PROBLEM: boutique" in capsys.readouterr().err
 
 
 def test_minimal_spec_round_trips_through_dict():
@@ -245,7 +318,6 @@ def test_default_counts_follow_the_active_application():
 
 
 def test_run_store_rejects_teastore_overrides_for_other_apps():
-    from repro.teastore.config import TeaStoreConfig
     with pytest.raises(ConfigurationError, match="TeaStore-specific"):
         run_store(_settings("boutique"), store_config=TeaStoreConfig())
 

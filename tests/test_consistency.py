@@ -5,9 +5,7 @@ import pytest
 import repro
 from repro.experiments import e3_core_scaling
 from repro.experiments.common import ExperimentSettings
-from repro.teastore import catalog
-from repro.teastore.services import build_specs
-from repro.teastore.profiles import BROWSE_TRANSITIONS, BUY_TRANSITIONS
+from repro.apps import build_service_specs, load_bundled
 
 
 def test_public_all_resolves():
@@ -22,38 +20,63 @@ def test_star_import_is_clean():
     assert "build_teastore" in namespace
 
 
+def _steps():
+    """service → endpoint → steps, as ``teastore.json`` declares them."""
+    return {service.name: {endpoint.name: endpoint.steps
+                           for endpoint in service.endpoints}
+            for service in load_bundled("teastore").services}
+
+
+def _single_step(service, endpoint):
+    [step] = _steps()[service][endpoint]
+    return step
+
+
 def test_webui_parse_and_render_cover_same_endpoints():
-    assert set(catalog.WEBUI_PARSE) == set(catalog.WEBUI_RENDER)
+    # Every page parses the request first and renders the template last.
+    for page, steps in _steps()["webui"].items():
+        assert steps[0]["op"] == "compute", page
+        assert steps[-1]["op"] == "compute", page
+        assert len(steps) >= 3, page
 
 
 def test_persistence_ops_have_db_costs():
-    assert set(catalog.PERSISTENCE) == set(catalog.DB_COST)
+    for operation, steps in _steps()["persistence"].items():
+        calls = [step for step in steps if step["op"] == "call"]
+        assert [call["service"] for call in calls] == ["db"], operation
+        assert calls[0]["endpoint"] in ("read", "write")
+        assert isinstance(calls[0]["payload"], float), operation
 
 
 def test_all_demand_constants_positive():
-    for mapping in (catalog.WEBUI_PARSE, catalog.WEBUI_RENDER,
-                    catalog.PERSISTENCE, catalog.DB_COST):
-        assert all(value > 0 for value in mapping.values())
-    for constant in (catalog.AUTH_VALIDATE, catalog.AUTH_LOGIN,
-                     catalog.AUTH_LOGOUT, catalog.IMAGE_HIT,
-                     catalog.IMAGE_MISS, catalog.IMAGE_PREVIEW_HIT,
-                     catalog.IMAGE_PREVIEW_MISS, catalog.RECOMMEND):
-        assert constant > 0
+    demands = []
+    for endpoints in _steps().values():
+        for steps in endpoints.values():
+            for step in steps:
+                demands.extend(value for key, value in step.items()
+                               if key.endswith("demand"))
+                if step["op"] == "call" and step["service"] == "db":
+                    demands.append(step["payload"])  # query cost
+    assert len(demands) >= 38
+    assert all(value > 0 for value in demands)
 
 
 def test_image_miss_costlier_than_hit():
-    assert catalog.IMAGE_MISS > catalog.IMAGE_HIT
-    assert catalog.IMAGE_PREVIEW_MISS > catalog.IMAGE_PREVIEW_HIT
-    assert catalog.IMAGE_PREVIEW_HIT < catalog.IMAGE_HIT  # thumbnails
+    full = _single_step("image", "get")
+    preview = _single_step("image", "get_batch")
+    assert full["miss_demand"] > full["hit_demand"]
+    assert preview["miss_demand"] > preview["hit_demand"]
+    assert preview["hit_demand"] < full["hit_demand"]  # thumbnails
 
 
 def test_webui_endpoints_match_catalog_and_profiles():
-    specs = build_specs()
+    spec = load_bundled("teastore")
+    specs = build_service_specs(spec)
     webui_endpoints = set(specs["webui"].endpoints)
-    assert webui_endpoints == set(catalog.WEBUI_PARSE)
+    assert webui_endpoints == set(_steps()["webui"])
     # Every Markov state of both profiles is a real WebUI endpoint.
-    assert set(BROWSE_TRANSITIONS) <= webui_endpoints
-    assert set(BUY_TRANSITIONS) <= webui_endpoints
+    for name in ("browse", "buy"):
+        assert set(spec.session(name).transitions) <= webui_endpoints
 
 
 def test_cli_covers_every_experiment_module():

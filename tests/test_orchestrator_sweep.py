@@ -17,11 +17,8 @@ from repro.orchestrator import (
 import pytest
 
 from repro._errors import ConfigurationError
-from repro.orchestrator.bench import (
-    append_bench_entry,
-    bench_entry,
-    bench_payload,
-)
+from repro.orchestrator import perfbench
+from repro.orchestrator.bench import append_bench_entry, bench_entry
 from repro.report import build_report, sweep_section
 
 
@@ -92,7 +89,7 @@ def test_progress_reporter_events_and_lines():
 
 def test_bench_payload_shape():
     stats = run_sweep("e1", tiny()).stats
-    entry = bench_payload([stats], jobs=3)
+    entry = bench_entry([stats], jobs=3)
     assert entry["jobs"] == 3
     assert entry["experiments"][0]["experiment"] == "e1"
     totals = entry["totals"]
@@ -148,8 +145,40 @@ def test_bench_rejects_foreign_artifacts(tmp_path):
         append_bench_entry(target, _fake_entry("e2", 1, "x"))
 
 
-def test_bench_entry_alias_is_stable():
-    assert bench_payload is bench_entry
+def _perf_entry(marker):
+    return perfbench.trajectory_entry(
+        [perfbench.SliceResult("e2", 1.0, (1.0,), 1)], "smoke",
+        label=marker)
+
+
+#: (artifact name, its writer, an entry factory) per trajectory kind.
+_TRAJECTORIES = {
+    "sweep": ("repro-sweep-bench", append_bench_entry,
+              lambda marker: _fake_entry("e2", 1, marker)),
+    "perf": ("repro-perf-bench", perfbench.append_trajectory, _perf_entry),
+}
+
+
+@pytest.mark.parametrize("damage", ("truncated", "top-level-list",
+                                    "no-trajectory", "non-object-entry"))
+@pytest.mark.parametrize("kind", sorted(_TRAJECTORIES))
+def test_malformed_trajectory_artifacts_raise_configuration_error(
+        tmp_path, kind, damage):
+    artifact, append, make_entry = _TRAJECTORIES[kind]
+    target = tmp_path / "bench.json"
+    append(target, make_entry("first"))
+    text = target.read_text()
+    damaged = {
+        "truncated": text[:len(text) // 2],
+        "top-level-list": "[]",
+        "no-trajectory": json.dumps({"artifact": artifact, "version": 2}),
+        "non-object-entry": json.dumps({"artifact": artifact, "version": 2,
+                                        "trajectory": [1]}),
+    }[damage]
+    target.write_text(damaged)
+    with pytest.raises(ConfigurationError):
+        append(target, make_entry("second"))
+    assert target.read_text() == damaged
 
 
 def test_report_includes_sweep_telemetry():

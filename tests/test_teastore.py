@@ -4,8 +4,9 @@ import pytest
 
 from repro._errors import ConfigurationError, WorkloadError
 from repro.services import Deployment
+from repro.apps import build_service_specs, load_bundled
+from repro.apps.teastore_app import teastore_app
 from repro.teastore import (
-    BROWSE_TRANSITIONS,
     MarkovSessionProfile,
     SERVICE_NAMES,
     TeaStoreConfig,
@@ -13,9 +14,13 @@ from repro.teastore import (
     build_teastore,
     service_profiles,
 )
-from repro.teastore.services import build_specs
 from repro.topology import small_numa_machine, tiny_machine
 from repro.workload import ClosedLoopWorkload, run_experiment
+
+
+def transitions(session):
+    """One session's transition matrix, as ``teastore.json`` declares it."""
+    return load_bundled("teastore").session(session).transitions
 
 
 def small_config(**kwargs):
@@ -66,14 +71,16 @@ def test_config_with_replicas_override():
 
 def test_browse_profile_states_match_webui_endpoints():
     profile = browse_profile()
-    specs = build_specs()
+    specs = build_service_specs(teastore_app())
     webui_endpoints = set(specs["webui"].endpoints)
     assert set(profile.states) <= webui_endpoints
+    assert set(profile.states) == set(transitions("browse"))
 
 
 def test_browse_transitions_rows_sum_to_one():
-    for state, nexts in BROWSE_TRANSITIONS.items():
-        assert sum(p for __, p in nexts) == pytest.approx(1.0)
+    for session in ("browse", "buy"):
+        for state, nexts in transitions(session).items():
+            assert sum(p for __, p in nexts) == pytest.approx(1.0)
 
 
 def test_markov_profile_validation():
@@ -95,7 +102,7 @@ def test_markov_walk_visits_only_known_states():
     factory = browse_profile().session_factory(deployment)
     session = factory(0)
     states = {next(session)[1] for __ in range(200)}
-    assert states <= set(BROWSE_TRANSITIONS)
+    assert states <= set(transitions("browse"))
     assert len(states) >= 4  # actually explores the profile
 
 
@@ -137,7 +144,7 @@ def test_microservice_profiles_are_frontend_hungry():
 
 
 def test_build_specs_cover_expected_endpoints():
-    specs = build_specs()
+    specs = build_service_specs(teastore_app())
     assert set(specs) == set(SERVICE_NAMES)
     assert set(specs["webui"].endpoints) == {
         "home", "login", "category", "product", "add_to_cart", "logout",

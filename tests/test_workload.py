@@ -7,7 +7,7 @@ from repro._units import ms
 from repro.cpu import FlatFrequencyModel, SmtModel
 from repro.memory import WorkloadProfile
 from repro.services import Deployment, ServiceSpec
-from repro.topology import tiny_machine
+from repro.topology import medium_machine, tiny_machine
 from repro.workload import ClosedLoopWorkload, OpenLoopWorkload, run_experiment
 
 
@@ -204,3 +204,56 @@ def test_run_experiment_is_deterministic():
     a, b = once(), once()
     assert a.throughput == b.throughput
     assert a.latency_p99 == b.latency_p99
+
+
+# ---------------------------------------------------------------------------
+# Time-varying open-loop rate
+# ---------------------------------------------------------------------------
+
+def scalable_system():
+    deployment = Deployment(medium_machine(), seed=4,
+                            smt_model=SmtModel(2.0),
+                            frequency_model=FlatFrequencyModel())
+    deployment.rpc.hop_latency = 0.0
+    profile = WorkloadProfile("svc", 1024, 1024, 0.1, 0.1)
+    spec = ServiceSpec("svc", profile, workers=16)
+
+    @spec.endpoint("op")
+    def op(ctx):
+        yield ctx.submit_demand(ms(2.0))
+        return "ok"
+
+    return deployment, spec
+
+
+def session(user_id):
+    while True:
+        yield ("svc", "op", None)
+
+
+def test_constant_rate_still_works():
+    deployment, spec = scalable_system()
+    deployment.add_instance(spec)
+    workload = OpenLoopWorkload(deployment, session, rate=200.0)
+    assert workload.current_rate() == 200.0
+
+
+def test_rate_function_is_sampled_over_time():
+    deployment, spec = scalable_system()
+    deployment.add_instance(spec)
+    workload = OpenLoopWorkload(deployment, session,
+                                rate=lambda t: 100.0 + 100.0 * t)
+    workload.start()
+    deployment.run(until=2.0)
+    assert workload.current_rate() == pytest.approx(300.0)
+    # Mean rate over [0,2] is 200/s → ~400 arrivals.
+    assert 250 < workload.meter.lifetime_count < 550
+
+
+def test_rate_function_returning_nonpositive_raises():
+    deployment, spec = scalable_system()
+    deployment.add_instance(spec)
+    workload = OpenLoopWorkload(deployment, session, rate=lambda t: -1.0)
+    workload.start()
+    with pytest.raises(WorkloadError):
+        deployment.run(until=1.0)
