@@ -19,7 +19,6 @@ import typing as t
 import warnings
 
 import numpy as np
-from scipy import optimize
 
 from repro._errors import AnalysisError
 
@@ -99,6 +98,8 @@ def _validate_curve(counts: t.Sequence[float],
 def fit_usl(counts: t.Sequence[float],
             throughputs: t.Sequence[float]) -> UslFit:
     """Least-squares USL fit with non-negativity bounds."""
+    from scipy import optimize  # deferred: only the fits need SciPy
+
     n, x = _validate_curve(counts, throughputs, minimum_points=3)
 
     def usl(n_values, lambda_, sigma, kappa):
@@ -128,6 +129,8 @@ def fit_usl(counts: t.Sequence[float],
 def fit_amdahl(counts: t.Sequence[float],
                speedups: t.Sequence[float]) -> AmdahlFit:
     """Least-squares Amdahl fit of a speedup curve (speedup(1) ≈ 1)."""
+    from scipy import optimize  # deferred: only the fits need SciPy
+
     n, s = _validate_curve(counts, speedups, minimum_points=2)
 
     def amdahl(n_values, p):

@@ -289,6 +289,7 @@ class ApplicationSpec:
             self._validate_service(service, endpoints)
         self._validate_acyclic()
         self._validate_sessions(endpoints)
+        self._validate_payloads()
         self._validate_chaos_targets(set(names))
         for shared in self.shared_services:
             _require(shared in endpoints,
@@ -383,6 +384,40 @@ class ApplicationSpec:
                 _require(abs(total - 1.0) <= 1e-9,
                          f"{where}: state {state!r}: probabilities sum "
                          f"to {total}, not 1")
+
+    def _validate_payloads(self) -> None:
+        """Every request must carry a payload its target's steps can use.
+
+        A ``serialized_query`` costs ``payload`` seconds, so it needs a
+        positive number; a ``cached_batch`` looks up ``payload or
+        default_count`` items, so its payload is absent or a positive
+        int.  Sessions send no payload, so no session state may be a
+        ``serialized_query`` endpoint.
+        """
+        consumers = {
+            (service.name, endpoint.name): {
+                step["op"] for step in endpoint.steps
+                if step["op"] in ("cached_batch", "serialized_query")}
+            for service in self.services for endpoint in service.endpoints}
+        for service in self.services:
+            for endpoint in service.endpoints:
+                where = (f"application {self.name!r}, service "
+                         f"{service.name!r}, endpoint {endpoint.name!r}")
+                for step in endpoint.steps:
+                    for call in _step_calls(step):
+                        target = (call["service"], call["endpoint"])
+                        _check_payload(f"{where}: call to "
+                                       f"{target[0]}.{target[1]}",
+                                       consumers[target],
+                                       call.get("payload"))
+        for session in self.sessions:
+            for state in session.transitions:
+                _require("serialized_query"
+                         not in consumers[(session.service, state)],
+                         f"application {self.name!r}, session "
+                         f"{session.name!r}: state {state!r} is a "
+                         f"serialized_query endpoint, but session "
+                         f"requests carry no payload")
 
     def _validate_chaos_targets(self, names: set[str]) -> None:
         _require(set(self.chaos_targets) == set(CHAOS_ROLES),
@@ -519,6 +554,23 @@ def _step_calls(step: t.Mapping[str, t.Any]
     if step["op"] == "gather":
         return tuple(step["calls"])
     return ()
+
+
+def _check_payload(where: str, consumers: set[str],
+                   payload: t.Any) -> None:
+    """``payload`` suits every payload-consuming op in ``consumers``."""
+    number = (isinstance(payload, (int, float))
+              and not isinstance(payload, bool))
+    if "serialized_query" in consumers:
+        _require(number and payload > 0,
+                 f"{where}: a serialized_query needs a positive number "
+                 f"payload (its cost in seconds), got {payload!r}")
+    if "cached_batch" in consumers:
+        _require(payload is None or (isinstance(payload, int)
+                                     and not isinstance(payload, bool)
+                                     and payload >= 1),
+                 f"{where}: a cached_batch payload must be absent or a "
+                 f"positive int (its item count), got {payload!r}")
 
 
 def _service_from_dict(app_name: str, entry: t.Mapping[str, t.Any]

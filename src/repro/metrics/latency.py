@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+# ``np.unique`` imports numpy.ma on first use; import it here so the
+# first recorder summary does not pay the import inside a run.
+import numpy.ma  # noqa: F401
 
 from repro._errors import AnalysisError
 from repro.metrics.columns import Column, StringInterner

@@ -13,7 +13,6 @@ import math
 import typing as t
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from repro._errors import AnalysisError
 
@@ -57,6 +56,8 @@ class Summary:
 def confidence_interval(values: t.Sequence[float],
                         confidence: float = 0.95) -> Summary:
     """Student-t confidence interval for the mean of repeated runs."""
+    from scipy import stats as scipy_stats  # deferred: SciPy is heavy
+
     if not values:
         raise AnalysisError("confidence_interval of empty sequence")
     if not 0.0 < confidence < 1.0:

@@ -37,7 +37,7 @@ class ServiceInstance:
                  "queue", "shared", "outstanding", "completed", "rejected",
                  "failed", "expired", "accepting", "breaker",
                  "demand_factor", "_pause", "_workers",
-                 "_demand_samplers", "_svc_streams")
+                 "_demand_samplers", "_svc_streams", "_plans")
 
     def __init__(self, deployment: "Deployment", spec: ServiceSpec,
                  affinity: CpuSet, home_node: int, local_id: int = 0):
@@ -78,6 +78,9 @@ class ServiceInstance:
         self._demand_samplers: dict[tuple[str, float, float],
                                     t.Callable[[], float]] = {}
         self._svc_streams: dict[str, str] = {}
+        #: endpoint → its plan bound to this replica, shared by the
+        #: replica's compiled workers (``repro.sim._cmodel.CWorker``).
+        self._plans: dict[str, object] = {}
         self._workers = [_make_worker(self) for __ in range(spec.workers)]
 
     @property

@@ -19,15 +19,24 @@ Handler = t.Callable[["ServiceContext"], t.Generator]
 
 @dataclasses.dataclass(frozen=True)
 class Endpoint:
-    """One named operation a service exposes."""
+    """One named operation a service exposes.
+
+    ``plan`` is the flat op tuple an application-spec handler interprets
+    (``handler.plan``, set by :mod:`repro.apps.runtime`; ``None`` for a
+    hand-written generator).  The compiled worker executes it directly
+    instead of driving the handler.
+    """
 
     name: str
     handler: Handler
+    plan: tuple | None = dataclasses.field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if not callable(self.handler):
             raise ConfigurationError(
                 f"endpoint {self.name!r}: handler must be callable")
+        object.__setattr__(self, "plan",
+                           getattr(self.handler, "plan", None))
 
 
 class ServiceSpec:

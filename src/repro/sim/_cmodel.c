@@ -15,6 +15,12 @@
  *   replica worker that registers itself as the event callback for
  *   whatever it waits on and drives the endpoint handler generator
  *   with send/throw, chaining through already-processed events inline.
+ *   An endpoint built from an application spec carries a flat plan
+ *   (repro.apps.runtime.compile_plan); the worker executes that plan
+ *   itself, with no generator and no ServiceContext, drawing demands
+ *   from the random streams' prefetch buffers and making plain
+ *   (non-resilient) calls and responses through a C copy of
+ *   Deployment.dispatch / RpcFabric / ServiceInstance.enqueue.
  *
  * Both consume the kernel's shared insertion counter identically to
  * their Python references on every path, so golden digests are
@@ -32,6 +38,8 @@
 #include <Python.h>
 #include <structmember.h>   /* PyMemberDef layout (pre-3.12 headers) */
 #include <stdint.h>
+#include <math.h>
+#include <string.h>
 
 #if PY_VERSION_HEX < 0x030A0000
 #  error "repro.sim._cmodel requires Python 3.10+ (PyIter_Send)"
@@ -73,6 +81,30 @@ typedef struct {
     Py_ssize_t rq_endpoint, rq_done, rq_started, rq_completed, rq_deadline;
     Py_ssize_t in_deployment, in_spec, in_queue, in_outstanding,
                in_completed, in_pause, in_group, in_demand_factor;
+    /* Endpoint plans and the plain fabric (configure_plans). */
+    PyObject *allof_type;      /* repro.sim.events.AllOf */
+    PyObject *store_type;      /* repro.sim.resources.Store */
+    PyObject *resource_type;   /* repro.sim.resources.Resource */
+    PyObject *deployment_type, *rpc_type, *registry_type, *balancer_type;
+    PyObject *standard_normal, *standard_uniform;  /* stream refills */
+    PyObject *batch_demand, *query_demand;  /* repro.apps.runtime */
+    PyObject *request_ids;     /* repro.services.request._request_ids */
+    PyObject *arrive_fn, *hop_succeed_fn;   /* this module's hop targets */
+    PyObject *zero, *one, *kw_payload_parent;
+    PyObject *s_next_standard, *s_state, *s_lognormal_source,
+             *s_lognormal_params, *s_lognormal_params_for, *s_lognormal,
+             *s_uniform, *s_resilience, *s_registry, *s_balancers,
+             *s_lookups, *s_policy, *s_round_robin, *s_instances, *s_next,
+             *s_pick, *s_messages_sent, *s_hop_latency, *s_arrive,
+             *s_enqueue, *s_getters, *s_items, *s_capacity, *s_popleft,
+             *s_append, *s_dispatch, *s_deployment, *s_rpc, *s_streams,
+             *s_scheduler, *s_core, *s_plan, *s_lock, *s_acquire,
+             *s_release, *s_putters, *s_in_use, *s_waiters, *s_plans;
+    Py_ssize_t sim_schedule2, ss_buffer, ss_cursor;
+    Py_ssize_t rq_id, rq_service, rq_payload, rq_parent, rq_created,
+               rq_enqueued, rq_instance_id, rq_attempt;
+    Py_ssize_t in_accepting, in_breaker, in_instance_id, in_shared,
+               in_local_id;
 } ModelState;
 
 static ModelState M;
@@ -164,13 +196,15 @@ escalate(PyObject *sim, PyObject *exc)
     return 0;
 }
 
-/* done.succeed(value), inlined for exact Event / exact Simulator. */
+/* done.succeed(value) / done.fail(value), inlined for exact Event /
+ * exact Simulator. */
 static int
-trigger_succeed(PyObject *done, PyObject *value)
+trigger(PyObject *done, PyObject *value, int ok)
 {
-    if (Py_TYPE(done) != (PyTypeObject *)M.event_type) {
-        PyObject *res = PyObject_CallMethodOneArg(done, M.str_succeed,
-                                                  value);
+    if (Py_TYPE(done) != (PyTypeObject *)M.event_type
+        || (!ok && !PyExceptionInstance_Check(value))) {
+        PyObject *res = PyObject_CallMethodOneArg(
+            done, ok ? M.str_succeed : M.str_fail, value);
         if (res == NULL)
             return -1;
         Py_DECREF(res);
@@ -185,7 +219,7 @@ trigger_succeed(PyObject *done, PyObject *value)
         }
         return -1;
     }
-    slot_store(done, M.ev_ok, Py_True);
+    slot_store(done, M.ev_ok, ok ? Py_True : Py_False);
     slot_store(done, M.ev_value, value);
     PyObject *esim = slot_get(done, M.ev_sim);
     if (esim == NULL) {
@@ -209,6 +243,12 @@ trigger_succeed(PyObject *done, PyObject *value)
         return -1;
     Py_DECREF(res);
     return 0;
+}
+
+static inline int
+trigger_succeed(PyObject *done, PyObject *value)
+{
+    return trigger(done, value, 1);
 }
 
 /* A fresh pending Event on `sim`, equivalent to `Event(sim)` for the
@@ -971,20 +1011,8 @@ SchedCore_submit(SchedCoreObject *c, PyObject *burst)
  * replica's factor, build the burst and its completion event without
  * entering the interpreter, and submit — returning the done event. */
 static PyObject *
-SchedCore_submit_demand(SchedCoreObject *c, PyObject *const *args,
-                        Py_ssize_t nargs)
+core_submit_demand(SchedCoreObject *c, PyObject *instance, PyObject *demand)
 {
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError,
-                        "submit_demand(instance, demand) takes 2 arguments");
-        return NULL;
-    }
-    PyObject *instance = args[0], *demand = args[1];
-    if (!PyObject_TypeCheck(instance, (PyTypeObject *)M.instance_type)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "submit_demand() expects a ServiceInstance");
-        return NULL;
-    }
     PyObject *factor = slot_get(instance, M.in_demand_factor);
     PyObject *group = slot_get(instance, M.in_group);
     if (factor == NULL || group == NULL) {
@@ -1056,6 +1084,23 @@ SchedCore_submit_demand(SchedCoreObject *c, PyObject *const *args,
         return NULL;
     }
     return done;
+}
+
+static PyObject *
+SchedCore_submit_demand(SchedCoreObject *c, PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError,
+                        "submit_demand(instance, demand) takes 2 arguments");
+        return NULL;
+    }
+    if (!PyObject_TypeCheck(args[0], (PyTypeObject *)M.instance_type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "submit_demand() expects a ServiceInstance");
+        return NULL;
+    }
+    return core_submit_demand(c, args[0], args[1]);
 }
 
 static PyObject *
@@ -1686,11 +1731,858 @@ CCompleteCB_new_for(SchedCoreObject *core, int cpu)
 }
 
 /* ------------------------------------------------------------------ */
+/* Endpoint plans: the application-spec interpreter in C               */
+/* ------------------------------------------------------------------ */
+
+/* Keep in sync with repro.apps.runtime.OP_*. */
+enum { OP_COMPUTE = 0, OP_CALL = 1, OP_GATHER = 2, OP_CACHE = 3,
+       OP_BATCH = 4, OP_QUERY = 5, OP_RETURN = 6 };
+
+/* One named random stream's _StreamState plus a cached view of the
+ * numpy prefetch buffer it currently holds.  A draw reads the buffer
+ * and bumps the state's cursor exactly as _StreamState.next_standard
+ * does; only a refill calls back into Python (numpy), so every value
+ * is the one the reference draws, and Python and C consumers of one
+ * stream stay interleaved correctly. */
+typedef struct {
+    PyObject *state;       /* strong; NULL until the first draw */
+    PyObject *buf;         /* strong; the array `view` was taken from */
+    Py_buffer view;
+    Py_ssize_t len;        /* doubles in `view` */
+} StreamRef;
+
+static void
+stream_forget(StreamRef *r)
+{
+    if (r->buf != NULL) {
+        PyBuffer_Release(&r->view);
+        Py_CLEAR(r->buf);
+    }
+}
+
+static void
+stream_clear(StreamRef *r)
+{
+    stream_forget(r);
+    Py_CLEAR(r->state);
+}
+
+/* state.next_standard(refill) without entering the interpreter unless
+ * the buffer is empty or spent. */
+static int
+stream_draw(StreamRef *r, PyObject *refill, double *out)
+{
+    PyObject *state = r->state;
+    PyObject *buf = slot_get(state, M.ss_buffer);
+    PyObject *cur = slot_get(state, M.ss_cursor);
+    if (buf == NULL || cur == NULL) {
+        PyErr_SetString(PyExc_AttributeError,
+                        "random stream state is not initialised");
+        return -1;
+    }
+    if (buf != r->buf) {
+        stream_forget(r);
+        if (buf != Py_None) {
+            if (PyObject_GetBuffer(buf, &r->view,
+                                   PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
+                return -1;
+            const char *fmt = r->view.format;
+            if (r->view.itemsize != (Py_ssize_t)sizeof(double)
+                || fmt == NULL || (strcmp(fmt, "d") != 0
+                                   && strcmp(fmt, "<d") != 0
+                                   && strcmp(fmt, "=d") != 0)) {
+                PyBuffer_Release(&r->view);
+                PyErr_SetString(PyExc_TypeError,
+                                "random stream buffer must hold float64");
+                return -1;
+            }
+            Py_INCREF(buf);
+            r->buf = buf;
+            r->len = r->view.len / (Py_ssize_t)sizeof(double);
+        }
+    }
+    Py_ssize_t cursor = PyLong_AsSsize_t(cur);
+    if (cursor == -1 && PyErr_Occurred())
+        return -1;
+    if (r->buf == NULL || cursor >= r->len) {
+        PyObject *value = PyObject_CallMethodOneArg(
+            state, M.s_next_standard, refill);
+        if (value == NULL)
+            return -1;
+        *out = PyFloat_AsDouble(value);
+        Py_DECREF(value);
+        return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+    }
+    *out = ((const double *)r->view.buf)[cursor];
+    PyObject *next = PyLong_FromSsize_t(cursor + 1);
+    if (next == NULL)
+        return -1;
+    slot_store(state, M.ss_cursor, next);
+    Py_DECREF(next);
+    return 0;
+}
+
+/* streams._state(name, kind), bound into `r` on first use. */
+static int
+stream_bind(StreamRef *r, PyObject *streams, PyObject *name, PyObject *kind)
+{
+    if (r->state != NULL)
+        return 0;
+    PyObject *argv[3] = {streams, name, kind};
+    r->state = PyObject_VectorcallMethod(M.s_state, argv, 3, NULL);
+    return r->state == NULL ? -1 : 0;
+}
+
+/* A lognormal demand source with a fixed mean (a compute or cache op):
+ * the resolved streams._lognormal_source(name, mean, cv). */
+typedef struct {
+    int ready;
+    int constant;          /* cv == 0: every draw is the mean */
+    double mean, mu, sigma;
+} Lognormal;
+
+typedef struct {
+    int code;
+    PyObject *op;          /* borrowed from the plan tuple */
+    StreamRef demand;      /* the endpoint's demand.<service>.<endpoint> */
+    StreamRef aux;         /* a cache op's svc.<service>.cache stream */
+    Lognormal src[2];      /* compute: [0]; cache: [0] hit, [1] miss */
+} PlanStep;
+
+/* One endpoint plan bound to one replica's random streams (shared by
+ * the replica's workers). */
+typedef struct {
+    PyObject_HEAD
+    PyObject *plan;        /* Endpoint.plan (strong) */
+    PyObject *streams;     /* the deployment's RandomStreams */
+    PyObject *params;      /* streams._lognormal_params: (mean, cv) ->
+                              (mu, sigma), shared with the reference */
+    PyObject *local_id;    /* the replica's local_id */
+    Py_ssize_t n;
+    PlanStep *steps;
+} CPlanObject;
+
+static PyTypeObject CPlan_Type;
+
+#define OP_ITEM(op, i) PyTuple_GET_ITEM((op), (i))
+
+/* The op's code when its layout is the one repro.apps.runtime.
+ * compile_plan gives that code, else -1: an unrecognised plan is
+ * driven through its handler generator instead. */
+static int
+plan_op_code(PyObject *op, int last)
+{
+    if (!PyTuple_CheckExact(op) || PyTuple_GET_SIZE(op) < 2
+        || !PyLong_CheckExact(OP_ITEM(op, 0)))
+        return -1;
+    long code = PyLong_AsLong(OP_ITEM(op, 0));
+    Py_ssize_t n = PyTuple_GET_SIZE(op);
+#define F(i) PyFloat_CheckExact(OP_ITEM(op, i))
+#define S(i) PyUnicode_CheckExact(OP_ITEM(op, i))
+    int ok;
+    switch (code) {
+    case OP_COMPUTE:
+        ok = n == 4 && F(1) && F(2) && S(3);
+        break;
+    case OP_CALL:
+        ok = n == 4 && S(1) && S(2);
+        break;
+    case OP_GATHER:
+        ok = n == 2 && PyTuple_CheckExact(OP_ITEM(op, 1))
+            && PyTuple_GET_SIZE(OP_ITEM(op, 1)) > 0;
+        for (Py_ssize_t i = 0; ok && i < PyTuple_GET_SIZE(OP_ITEM(op, 1));
+             i++) {
+            PyObject *call = PyTuple_GET_ITEM(OP_ITEM(op, 1), i);
+            ok = PyTuple_CheckExact(call) && PyTuple_GET_SIZE(call) == 3
+                && PyUnicode_CheckExact(PyTuple_GET_ITEM(call, 0))
+                && PyUnicode_CheckExact(PyTuple_GET_ITEM(call, 1));
+        }
+        break;
+    case OP_CACHE:
+        ok = n == 7 && F(1) && F(2) && F(3) && F(4) && S(5) && S(6);
+        break;
+    case OP_BATCH:         /* interpreted by runtime.batch_demand */
+        ok = n == 9;
+        break;
+    case OP_QUERY:
+        ok = n == 5 && F(1) && F(2) && F(3) && S(4);
+        break;
+    case OP_RETURN:
+        ok = n == 2;
+        break;
+    default:
+        ok = 0;
+    }
+#undef F
+#undef S
+    if (!ok || (code == OP_RETURN) != last)
+        return -1;
+    return (int)code;
+}
+
+/* A CPlan for `plan`, or None (new reference) when its layout is not
+ * recognised. */
+static PyObject *
+cplan_new(PyObject *plan, PyObject *streams, PyObject *local_id)
+{
+    if (!PyTuple_CheckExact(plan) || PyTuple_GET_SIZE(plan) < 1)
+        Py_RETURN_NONE;
+    Py_ssize_t n = PyTuple_GET_SIZE(plan);
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (plan_op_code(PyTuple_GET_ITEM(plan, i), i == n - 1) < 0)
+            Py_RETURN_NONE;
+    PyObject *params = PyObject_GetAttr(streams, M.s_lognormal_params);
+    if (params == NULL)
+        return NULL;
+    if (!PyDict_CheckExact(params)) {
+        Py_DECREF(params);
+        Py_RETURN_NONE;
+    }
+    CPlanObject *p = (CPlanObject *)CPlan_Type.tp_alloc(&CPlan_Type, 0);
+    if (p == NULL) {
+        Py_DECREF(params);
+        return NULL;
+    }
+    p->params = params;
+    p->steps = PyMem_Calloc(n, sizeof(PlanStep));
+    if (p->steps == NULL) {
+        Py_DECREF(p);
+        return PyErr_NoMemory();
+    }
+    p->n = n;
+    Py_INCREF(plan);
+    p->plan = plan;
+    Py_INCREF(streams);
+    p->streams = streams;
+    Py_INCREF(local_id);
+    p->local_id = local_id;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        p->steps[i].op = PyTuple_GET_ITEM(plan, i);
+        p->steps[i].code = plan_op_code(p->steps[i].op, i == n - 1);
+    }
+    return (PyObject *)p;
+}
+
+static void
+CPlan_dealloc(CPlanObject *p)
+{
+    if (p->steps != NULL) {
+        for (Py_ssize_t i = 0; i < p->n; i++) {
+            stream_clear(&p->steps[i].demand);
+            stream_clear(&p->steps[i].aux);
+        }
+        PyMem_Free(p->steps);
+    }
+    Py_XDECREF(p->plan);
+    Py_XDECREF(p->streams);
+    Py_XDECREF(p->params);
+    Py_XDECREF(p->local_id);
+    Py_TYPE(p)->tp_free((PyObject *)p);
+}
+
+static PyTypeObject CPlan_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._cmodel.CPlan",
+    .tp_basicsize = sizeof(CPlanObject),
+    .tp_dealloc = (destructor)CPlan_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "An endpoint plan bound to one replica (internal).",
+};
+
+/* ---- the plain fabric: Deployment.dispatch / RpcFabric, in C ---- */
+
+/* obj.<name> += 1 on a plain (dict-backed) Python object. */
+static int
+attr_increment(PyObject *obj, PyObject *name)
+{
+    PyObject *cur = PyObject_GetAttr(obj, name);
+    if (cur == NULL)
+        return -1;
+    PyObject *next = PyNumber_Add(cur, M.one);
+    Py_DECREF(cur);
+    if (next == NULL)
+        return -1;
+    int rv = PyObject_SetAttr(obj, name, next);
+    Py_DECREF(next);
+    return rv;
+}
+
+/* `hop_latency == 0` (1, 0, or -1 on error). */
+static int
+hop_is_zero(PyObject *hop)
+{
+    if (PyFloat_CheckExact(hop))
+        return PyFloat_AS_DOUBLE(hop) == 0.0;
+    return PyObject_RichCompareBool(hop, M.zero, Py_EQ);
+}
+
+/* sim.schedule2(sim.now + hop, fn, a, b) — one network hop. */
+static int
+schedule_hop(PyObject *sim, PyObject *hop, PyObject *fn, PyObject *a,
+             PyObject *b)
+{
+    PyObject *now = slot_get(sim, M.sim_now);
+    PyObject *when;
+    if (PyFloat_CheckExact(now) && PyFloat_CheckExact(hop))
+        when = PyFloat_FromDouble(PyFloat_AS_DOUBLE(now)
+                                  + PyFloat_AS_DOUBLE(hop));
+    else
+        when = PyNumber_Add(now, hop);
+    if (when == NULL)
+        return -1;
+    PyObject *argv[4] = {when, fn, a, b};
+    PyObject *handle = PyObject_Vectorcall(slot_get(sim, M.sim_schedule2),
+                                           argv, 4, NULL);
+    Py_DECREF(when);
+    if (handle == NULL)
+        return -1;
+    Py_DECREF(handle);
+    return 0;
+}
+
+/* obj.<name>(arg), discarding the result. */
+static int
+call_method1(PyObject *obj, PyObject *name, PyObject *arg)
+{
+    PyObject *res = PyObject_CallMethodOneArg(obj, name, arg);
+    Py_XDECREF(res);
+    return res ? 0 : -1;
+}
+
+/* owner.<name> (a deque) and its length. */
+static PyObject *
+deque_attr(PyObject *owner, PyObject *name, Py_ssize_t *len)
+{
+    PyObject *deque = PyObject_GetAttr(owner, name);
+    if (deque == NULL)
+        return NULL;
+    *len = PyObject_Size(deque);
+    if (*len < 0) {
+        Py_DECREF(deque);
+        return NULL;
+    }
+    return deque;
+}
+
+/* ServiceInstance.enqueue + Store.try_put for an exact ServiceInstance;
+ * shedding (shut down, full queue) and subclassed stores run the
+ * reference method. */
+static int
+instance_enqueue(PyObject *instance, PyObject *request)
+{
+    PyObject *queue = slot_get(instance, M.in_queue);
+    PyObject *done = slot_get(request, M.rq_done);
+    if (!truthy(slot_get(instance, M.in_accepting)) || queue == NULL
+        || Py_TYPE(queue) != (PyTypeObject *)M.store_type || done == NULL
+        || Py_TYPE(done) != (PyTypeObject *)M.event_type)
+        return call_method1(instance, M.s_enqueue, request);
+    Py_ssize_t waiting, queued;
+    PyObject *getters = deque_attr(queue, M.s_getters, &waiting);
+    if (getters == NULL)
+        return -1;
+    PyObject *items = deque_attr(queue, M.s_items, &queued);
+    PyObject *capacity = items ? PyObject_GetAttr(queue, M.s_capacity)
+                               : NULL;
+    int rv = -1;
+    if (capacity == NULL)
+        goto done;
+    if (waiting == 0 && capacity != Py_None) {
+        Py_ssize_t cap = PyLong_AsSsize_t(capacity);
+        if (cap == -1 && PyErr_Occurred())
+            goto done;
+        if (queued >= cap) {
+            /* Full: the reference sheds the request. */
+            rv = call_method1(instance, M.s_enqueue, request);
+            goto done;
+        }
+    }
+    slot_store(request, M.rq_enqueued,
+               slot_get(slot_get(done, M.ev_sim), M.sim_now));
+    slot_store(request, M.rq_instance_id,
+               slot_get(instance, M.in_instance_id));
+    if (waiting > 0) {
+        /* A parked worker takes it directly. */
+        PyObject *getter = PyObject_CallMethodNoArgs(getters, M.s_popleft);
+        rv = getter ? trigger_succeed(getter, request) : -1;
+        Py_XDECREF(getter);
+    }
+    else
+        rv = call_method1(items, M.s_append, request);
+    if (rv == 0)
+        rv = slot_add_long(instance, M.in_outstanding, 1);
+done:
+    Py_DECREF(getters);
+    Py_XDECREF(items);
+    Py_XDECREF(capacity);
+    return rv;
+}
+
+/* RpcFabric._arrive(request, instance) as a schedule2 target. */
+static PyObject *
+cmodel_arrive(PyObject *Py_UNUSED(module), PyObject *const *args,
+              Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_arrive(request, instance)");
+        return NULL;
+    }
+    PyObject *request = args[0], *instance = args[1];
+    int rv;
+    if (Py_TYPE(request) != (PyTypeObject *)M.request_type
+        || Py_TYPE(instance) != (PyTypeObject *)M.instance_type
+        || slot_get(request, M.rq_deadline) != Py_None) {
+        /* Deadlines (expiry in flight) and subclasses: the reference. */
+        PyObject *deployment = PyObject_GetAttr(instance, M.s_deployment);
+        PyObject *rpc = deployment
+            ? PyObject_GetAttr(deployment, M.s_rpc) : NULL;
+        Py_XDECREF(deployment);
+        if (rpc == NULL)
+            return NULL;
+        PyObject *argv[3] = {rpc, request, instance};
+        PyObject *res = PyObject_VectorcallMethod(M.s_arrive, argv, 3, NULL);
+        Py_DECREF(rpc);
+        return res;
+    }
+    rv = instance_enqueue(instance, request);
+    if (rv < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* The return hop's trigger (rpc._trigger_succeed) as a schedule2 target. */
+static PyObject *
+cmodel_hop_succeed(PyObject *Py_UNUSED(module), PyObject *const *args,
+                   Py_ssize_t nargs)
+{
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "_hop_succeed(done, response)");
+        return NULL;
+    }
+    if (trigger_succeed(args[0], args[1]) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+/* RpcFabric.deliver on an exact RpcFabric. */
+static int
+fabric_deliver(PyObject *rpc, PyObject *sim, PyObject *request,
+               PyObject *instance)
+{
+    if (attr_increment(rpc, M.s_messages_sent) < 0)
+        return -1;
+    PyObject *hop = PyObject_GetAttr(rpc, M.s_hop_latency);
+    if (hop == NULL)
+        return -1;
+    int zero = hop_is_zero(hop);
+    int rv;
+    if (zero < 0)
+        rv = -1;
+    else if (zero) {
+        PyObject *argv[2] = {request, instance};
+        PyObject *res = cmodel_arrive(NULL, argv, 2);
+        rv = res ? 0 : -1;
+        Py_XDECREF(res);
+    }
+    else
+        rv = schedule_hop(sim, hop, M.arrive_fn, request, instance);
+    Py_DECREF(hop);
+    return rv;
+}
+
+/* RpcFabric.respond on an exact RpcFabric. */
+static int
+fabric_respond(PyObject *rpc, PyObject *sim, PyObject *done,
+               PyObject *response)
+{
+    if (attr_increment(rpc, M.s_messages_sent) < 0)
+        return -1;
+    PyObject *hop = PyObject_GetAttr(rpc, M.s_hop_latency);
+    if (hop == NULL)
+        return -1;
+    int zero = hop_is_zero(hop);
+    int rv;
+    if (zero < 0)
+        rv = -1;
+    else if (zero)
+        rv = trigger_succeed(done, response);
+    else
+        rv = schedule_hop(sim, hop, M.hop_succeed_fn, done, response);
+    Py_DECREF(hop);
+    return rv;
+}
+
+/* LoadBalancer.pick(now): the healthy round-robin probe inline, every
+ * other case (other policies, breakers, a non-accepting cursor replica,
+ * no replicas) through the reference method. */
+static PyObject *
+balancer_pick(PyObject *balancer, PyObject *now)
+{
+    PyObject *policy = PyObject_GetAttr(balancer, M.s_policy);
+    if (policy == NULL)
+        return NULL;
+    int rr = policy == M.s_round_robin
+        || (PyUnicode_CheckExact(policy)
+            && PyUnicode_Compare(policy, M.s_round_robin) == 0);
+    Py_DECREF(policy);
+    if (rr) {
+        PyObject *instances = PyObject_GetAttr(balancer, M.s_instances);
+        if (instances == NULL)
+            return NULL;
+        PyObject *next = PyObject_GetAttr(balancer, M.s_next);
+        if (next == NULL) {
+            Py_DECREF(instances);
+            return NULL;
+        }
+        PyObject *picked = NULL;
+        Py_ssize_t n = PyList_CheckExact(instances)
+            ? PyList_GET_SIZE(instances) : 0;
+        if (n > 0 && PyLong_CheckExact(next)) {
+            Py_ssize_t start = PyLong_AsSsize_t(next);
+            if (start == -1 && PyErr_Occurred()) {
+                Py_DECREF(instances);
+                Py_DECREF(next);
+                return NULL;
+            }
+            if (start >= n)
+                start %= n;
+            PyObject *inst = start >= 0
+                ? PyList_GET_ITEM(instances, start) : NULL;
+            if (inst != NULL
+                && Py_TYPE(inst) == (PyTypeObject *)M.instance_type
+                && truthy(slot_get(inst, M.in_accepting))
+                && slot_get(inst, M.in_breaker) == Py_None) {
+                PyObject *cursor = PyLong_FromSsize_t(
+                    start + 1 < n ? start + 1 : 0);
+                if (cursor == NULL
+                    || PyObject_SetAttr(balancer, M.s_next, cursor) < 0) {
+                    Py_XDECREF(cursor);
+                    Py_DECREF(instances);
+                    Py_DECREF(next);
+                    return NULL;
+                }
+                Py_DECREF(cursor);
+                Py_INCREF(inst);
+                picked = inst;
+            }
+        }
+        Py_DECREF(instances);
+        Py_DECREF(next);
+        if (picked != NULL)
+            return picked;
+    }
+    PyObject *argv[2] = {balancer, now};
+    return PyObject_VectorcallMethod(M.s_pick, argv, 2, NULL);
+}
+
+/* Store.get() for an exact Store on an exact Simulator. */
+static PyObject *
+store_get(PyObject *queue, PyObject *sim)
+{
+    Py_ssize_t n, blocked;
+    PyObject *item = NULL, *putters = NULL, *pair = NULL;
+    PyObject *items = deque_attr(queue, M.s_items, &n);
+    if (items == NULL)
+        return NULL;
+    PyObject *event = make_event(sim);
+    if (event == NULL)
+        goto fail;
+    if (n == 0) {
+        PyObject *getters = PyObject_GetAttr(queue, M.s_getters);
+        int rv = getters ? call_method1(getters, M.s_append, event) : -1;
+        Py_XDECREF(getters);
+        if (rv < 0)
+            goto fail;
+        Py_DECREF(items);
+        return event;
+    }
+    item = PyObject_CallMethodNoArgs(items, M.s_popleft);
+    putters = item ? deque_attr(queue, M.s_putters, &blocked) : NULL;
+    if (putters == NULL)
+        goto fail;
+    if (blocked > 0) {
+        /* _admit_blocked_putter, as Store.get inlines it. */
+        pair = PyObject_CallMethodNoArgs(putters, M.s_popleft);
+        if (pair == NULL)
+            goto fail;
+        if (!PyTuple_Check(pair) || PyTuple_GET_SIZE(pair) != 2) {
+            PyErr_SetString(PyExc_TypeError, "blocked put must be a pair");
+            goto fail;
+        }
+        if (call_method1(items, M.s_append, PyTuple_GET_ITEM(pair, 1)) < 0
+            || trigger_succeed(PyTuple_GET_ITEM(pair, 0), Py_None) < 0)
+            goto fail;
+    }
+    if (trigger_succeed(event, item) < 0)
+        goto fail;
+    Py_DECREF(items);
+    Py_DECREF(item);
+    Py_DECREF(putters);
+    Py_XDECREF(pair);
+    return event;
+fail:
+    Py_XDECREF(event);
+    Py_DECREF(items);
+    Py_XDECREF(item);
+    Py_XDECREF(putters);
+    Py_XDECREF(pair);
+    return NULL;
+}
+
+/* lock.acquire(), inlined for an exact Resource. */
+static PyObject *
+resource_acquire(PyObject *lock)
+{
+    if (Py_TYPE(lock) != (PyTypeObject *)M.resource_type)
+        return PyObject_CallMethodNoArgs(lock, M.s_acquire);
+    PyObject *sim = PyObject_GetAttr(lock, M.str_sim);
+    if (sim == NULL)
+        return NULL;
+    PyObject *event = make_event(sim);
+    Py_DECREF(sim);
+    if (event == NULL)
+        return NULL;
+    PyObject *in_use = PyObject_GetAttr(lock, M.s_in_use);
+    PyObject *capacity = in_use
+        ? PyObject_GetAttr(lock, M.s_capacity) : NULL;
+    int free_slot = capacity
+        ? PyObject_RichCompareBool(in_use, capacity, Py_LT) : -1;
+    Py_XDECREF(capacity);
+    int rv = -1;
+    if (free_slot > 0) {
+        PyObject *next = PyNumber_Add(in_use, M.one);
+        if (next != NULL && PyObject_SetAttr(lock, M.s_in_use, next) == 0)
+            rv = trigger_succeed(event, lock);
+        Py_XDECREF(next);
+    }
+    else if (free_slot == 0) {
+        PyObject *waiters = PyObject_GetAttr(lock, M.s_waiters);
+        rv = waiters ? call_method1(waiters, M.s_append, event) : -1;
+        Py_XDECREF(waiters);
+    }
+    Py_XDECREF(in_use);
+    if (rv < 0) {
+        Py_DECREF(event);
+        return NULL;
+    }
+    return event;
+}
+
+/* lock.release(), inlined for an exact Resource. */
+static int
+resource_release(PyObject *lock)
+{
+    if (Py_TYPE(lock) != (PyTypeObject *)M.resource_type) {
+        PyObject *res = PyObject_CallMethodNoArgs(lock, M.s_release);
+        Py_XDECREF(res);
+        return res ? 0 : -1;
+    }
+    PyObject *in_use = PyObject_GetAttr(lock, M.s_in_use);
+    if (in_use == NULL)
+        return -1;
+    int held = PyObject_RichCompareBool(in_use, M.zero, Py_GT);
+    if (held <= 0) {
+        Py_DECREF(in_use);
+        if (held == 0)
+            PyErr_SetString(M.sim_error,
+                            "release() without a matching acquire()");
+        return -1;
+    }
+    Py_ssize_t waiting;
+    PyObject *waiters = deque_attr(lock, M.s_waiters, &waiting);
+    int rv = -1;
+    if (waiters != NULL && waiting > 0) {
+        /* The slot passes straight to the oldest waiter. */
+        PyObject *next = PyObject_CallMethodNoArgs(waiters, M.s_popleft);
+        if (next != NULL) {
+            rv = trigger_succeed(next, lock);
+            Py_DECREF(next);
+        }
+    }
+    else if (waiters != NULL) {
+        PyObject *fewer = PyNumber_Subtract(in_use, M.one);
+        if (fewer != NULL)
+            rv = PyObject_SetAttr(lock, M.s_in_use, fewer);
+        Py_XDECREF(fewer);
+    }
+    Py_XDECREF(waiters);
+    Py_DECREF(in_use);
+    return rv;
+}
+
+/* The callback AllOf._check attaches to each gathered call: resolves
+ * `outer` (the event the worker waits on) exactly when the reference
+ * AllOf triggers — failed on the first failure, succeeded once every
+ * call succeeded.  The success value is None: a plan discards it. */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    PyObject *outer;
+    Py_ssize_t remaining;
+} GatherObject;
+
+static PyObject *
+Gather_vectorcall(PyObject *self, PyObject *const *args, size_t nargsf,
+                  PyObject *kwnames)
+{
+    GatherObject *g = (GatherObject *)self;
+    if (PyVectorcall_NARGS(nargsf) != 1
+        || (kwnames != NULL && PyTuple_GET_SIZE(kwnames) > 0)) {
+        PyErr_SetString(PyExc_TypeError, "gather expects one event");
+        return NULL;
+    }
+    PyObject *event = args[0];
+    int ok = truthy(slot_get(event, M.ev_ok));
+    if (!ok)
+        slot_store(event, M.ev_defused, Py_True);
+    if (slot_get(g->outer, M.ev_value) != M.pending)
+        Py_RETURN_NONE;     /* already resolved: failures just claimed */
+    int rv = 0;
+    if (!ok)
+        rv = trigger(g->outer, slot_get(event, M.ev_value), 0);
+    else if (--g->remaining == 0)
+        rv = trigger_succeed(g->outer, Py_None);
+    if (rv < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static void
+Gather_dealloc(GatherObject *g)
+{
+    PyObject_GC_UnTrack(g);
+    Py_XDECREF(g->outer);
+    Py_TYPE(g)->tp_free((PyObject *)g);
+}
+
+static int
+Gather_traverse(GatherObject *g, visitproc visit, void *arg)
+{
+    Py_VISIT(g->outer);
+    return 0;
+}
+
+static int
+Gather_clear(GatherObject *g)
+{
+    Py_CLEAR(g->outer);
+    return 0;
+}
+
+static PyTypeObject Gather_Type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._cmodel.Gather",
+    .tp_basicsize = sizeof(GatherObject),
+    .tp_dealloc = (destructor)Gather_dealloc,
+    .tp_vectorcall_offset = offsetof(GatherObject, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC
+        | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "AllOf over one plan op's calls (internal).",
+    .tp_traverse = (traverseproc)Gather_traverse,
+    .tp_clear = (inquiry)Gather_clear,
+};
+
+/* AllOf(sim, events): the C gather when every event is an Event of
+ * `sim`, else the reference class (which raises on a mix). */
+static PyObject *
+gather_events(PyObject *sim, PyObject *events)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(events);
+    int native = n > 0;
+    for (Py_ssize_t i = 0; native && i < n; i++) {
+        PyObject *event = PyTuple_GET_ITEM(events, i);
+        native = PyObject_TypeCheck(event, (PyTypeObject *)M.event_type)
+            && slot_get(event, M.ev_sim) == sim;
+    }
+    if (!native)
+        return PyObject_CallFunctionObjArgs(M.allof_type, sim, events, NULL);
+    PyObject *outer = make_event(sim);
+    if (outer == NULL)
+        return NULL;
+    GatherObject *g = PyObject_GC_New(GatherObject, &Gather_Type);
+    if (g == NULL) {
+        Py_DECREF(outer);
+        return NULL;
+    }
+    g->vectorcall = Gather_vectorcall;
+    Py_INCREF(outer);
+    g->outer = outer;
+    g->remaining = n;
+    PyObject_GC_Track(g);
+    for (Py_ssize_t i = 0; i < n; i++) {
+        /* event.add_callback(self._check) */
+        PyObject *event = PyTuple_GET_ITEM(events, i);
+        PyObject *callbacks = slot_get(event, M.ev_callbacks);
+        int rv;
+        if (callbacks == NULL || callbacks == Py_None) {
+            PyObject *res = Gather_vectorcall((PyObject *)g, &event, 1,
+                                              NULL);
+            rv = res ? 0 : -1;
+            Py_XDECREF(res);
+        }
+        else if (PyList_Check(callbacks))
+            rv = PyList_Append(callbacks, (PyObject *)g);
+        else {
+            PyErr_SetString(PyExc_TypeError,
+                            "event callbacks must be a list");
+            rv = -1;
+        }
+        if (rv < 0) {
+            Py_DECREF(g);
+            Py_DECREF(outer);
+            return NULL;
+        }
+    }
+    Py_DECREF(g);
+    return outer;
+}
+
+/* A Request built exactly as Deployment.dispatch's plain path does. */
+static PyObject *
+new_request(PyObject *service, PyObject *endpoint, PyObject *done,
+            PyObject *payload, PyObject *parent, PyObject *created_at)
+{
+    PyObject *rid = PyIter_Next(M.request_ids);
+    if (rid == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_RuntimeError, "request ids exhausted");
+        return NULL;
+    }
+    PyTypeObject *type = (PyTypeObject *)M.request_type;
+    PyObject *r = type->tp_alloc(type, 0);
+    if (r == NULL) {
+        Py_DECREF(rid);
+        return NULL;
+    }
+#define SET_SLOT(offset, value) do {                                  \
+        PyObject *v_ = (value);                                       \
+        Py_INCREF(v_);                                                \
+        *(PyObject **)((char *)r + (offset)) = v_;                    \
+    } while (0)
+    *(PyObject **)((char *)r + M.rq_id) = rid;
+    SET_SLOT(M.rq_service, service);
+    SET_SLOT(M.rq_endpoint, endpoint);
+    SET_SLOT(M.rq_payload, payload);
+    SET_SLOT(M.rq_parent, parent);
+    SET_SLOT(M.rq_done, done);
+    SET_SLOT(M.rq_created, created_at);
+    SET_SLOT(M.rq_enqueued, Py_None);
+    SET_SLOT(M.rq_started, Py_None);
+    SET_SLOT(M.rq_completed, Py_None);
+    SET_SLOT(M.rq_instance_id, Py_None);
+    SET_SLOT(M.rq_deadline, Py_None);
+    SET_SLOT(M.rq_attempt, M.one);
+#undef SET_SLOT
+    return r;
+}
+
+/* ------------------------------------------------------------------ */
 /* CWorker: one replica worker as a C state machine                    */
 /* ------------------------------------------------------------------ */
 
-/* Keep in sync with repro.services.instance._BOOT.._RUN. */
-enum { W_BOOT = 0, W_GET = 1, W_PAUSE = 2, W_RUN = 3 };
+/* Keep in sync with repro.services.instance._BOOT.._RUN; W_PLAN runs
+ * an endpoint plan with no handler generator. */
+enum { W_BOOT = 0, W_GET = 1, W_PAUSE = 2, W_RUN = 3, W_PLAN = 4 };
 
 typedef struct {
     PyObject_HEAD
@@ -1698,11 +2590,27 @@ typedef struct {
     PyObject *instance;     /* ServiceInstance */
     PyObject *deployment;
     PyObject *sim;
+    PyObject *rpc;          /* the deployment's fabric */
     PyObject *rpc_respond;  /* bound rpc.respond */
     PyObject *resolve;      /* bound spec.resolve */
     PyObject *queue_get;    /* bound queue.get */
+    PyObject *queue;        /* the queue when an exact Store on an exact
+                               Simulator (gets inlined), else NULL */
+    PyObject *core;         /* the scheduler's SchedCore, or NULL (then
+                               every endpoint runs its handler) */
+    PyObject *plans;        /* instance._plans, shared by the replica's
+                               workers: endpoint name -> CPlan, or None
+                               for an endpoint driven through its
+                               handler */
     PyObject *request;      /* in-flight request, per state */
     PyObject *handler;      /* endpoint handler generator while W_RUN */
+    CPlanObject *plan;      /* the plan running while W_PLAN */
+    PyObject *lock;         /* a query op's shared lock once acquired */
+    Py_ssize_t pc;          /* next op of `plan` */
+    double serial;          /* a query op's serial demand */
+    int phase;              /* a query op's progress (see plan_run) */
+    int fast_fabric;        /* exact Deployment + RpcFabric: plain calls
+                               and responses run in C */
     int state;
 } CWorkerObject;
 
@@ -1716,7 +2624,8 @@ static int
 worker_next_get(CWorkerObject *w)
 {
     w->state = W_GET;
-    PyObject *event = PyObject_CallNoArgs(w->queue_get);
+    PyObject *event = w->queue != NULL ? store_get(w->queue, w->sim)
+                                       : PyObject_CallNoArgs(w->queue_get);
     if (event == NULL)
         return -1;
     PyObject *callbacks = slot_get(event, M.ev_callbacks);
@@ -1784,6 +2693,29 @@ fetch_exception(void)
     return val;
 }
 
+/* The handler (or plan) raised `exc` (a new reference, consumed): an
+ * Exception fails the request and the worker takes the next one;
+ * anything else escalates on the next processing slot. */
+static int
+worker_raise(CWorkerObject *w, PyObject *exc)
+{
+    PyObject *request = w->request;
+    w->request = NULL;
+    Py_CLEAR(w->handler);
+    Py_CLEAR(w->plan);
+    Py_CLEAR(w->lock);
+    w->phase = 0;
+    int is_exc = PyObject_IsInstance(exc, PyExc_Exception);
+    int rv;
+    if (is_exc > 0)
+        rv = worker_fail_request(w, request, exc, 1);
+    else
+        rv = is_exc == 0 ? escalate(w->sim, exc) : -1;
+    Py_XDECREF(request);
+    Py_DECREF(exc);
+    return rv;
+}
+
 /* Completion bookkeeping + respond + next get (machine._finish). */
 static int
 worker_finish(CWorkerObject *w, PyObject *response)
@@ -1791,6 +2723,7 @@ worker_finish(CWorkerObject *w, PyObject *response)
     PyObject *request = w->request;
     w->request = NULL;
     Py_CLEAR(w->handler);
+    Py_CLEAR(w->plan);
     int rv = -1;
     slot_store(request, M.rq_completed, slot_get(w->sim, M.sim_now));
     if (slot_add_long(w->instance, M.in_completed, 1) < 0)
@@ -1811,15 +2744,493 @@ worker_finish(CWorkerObject *w, PyObject *response)
     }
     Py_DECREF(tracer);
     PyObject *done_ev = slot_get(request, M.rq_done);
-    PyObject *argv[2] = {done_ev, response};
-    PyObject *res = PyObject_Vectorcall(w->rpc_respond, argv, 2, NULL);
-    if (res == NULL)
-        goto done;
-    Py_DECREF(res);
+    if (w->fast_fabric) {
+        if (fabric_respond(w->rpc, w->sim, done_ev, response) < 0)
+            goto done;
+    }
+    else {
+        PyObject *argv[2] = {done_ev, response};
+        PyObject *res = PyObject_Vectorcall(w->rpc_respond, argv, 2, NULL);
+        if (res == NULL)
+            goto done;
+        Py_DECREF(res);
+    }
     rv = worker_next_get(w);
 done:
     Py_DECREF(request);
     return rv;
+}
+
+/* ---- plan ops (each returns the event the reference handler yields,
+ * or NULL with the exception the reference handler raises) ---- */
+
+/* ServiceContext.submit_demand(demand): the scheduler core's one-call
+ * submit. */
+static PyObject *
+plan_submit(CWorkerObject *w, double demand)
+{
+    PyObject *value = PyFloat_FromDouble(demand);
+    if (value == NULL)
+        return NULL;
+    PyObject *event = core_submit_demand((SchedCoreObject *)w->core,
+                                         w->instance, value);
+    Py_DECREF(value);
+    return event;
+}
+
+/* ServiceContext.compute(mean, cv): one lognormal draw on the
+ * endpoint's demand stream, then submit. */
+static PyObject *
+plan_compute(CWorkerObject *w, PlanStep *s, int which, PyObject *mean,
+             PyObject *cv, PyObject *name)
+{
+    Lognormal *src = &s->src[which];
+    if (!src->ready) {
+        PyObject *argv[4] = {w->plan->streams, name, mean, cv};
+        PyObject *res = PyObject_VectorcallMethod(
+            M.s_lognormal_source, argv, 4, NULL);
+        if (res == NULL)
+            return NULL;
+        if (!PyTuple_CheckExact(res) || PyTuple_GET_SIZE(res) != 3) {
+            Py_DECREF(res);
+            PyErr_SetString(PyExc_TypeError,
+                            "_lognormal_source must return a 3-tuple");
+            return NULL;
+        }
+        PyObject *state = PyTuple_GET_ITEM(res, 0);
+        src->mean = PyFloat_AS_DOUBLE(mean);
+        src->constant = state == Py_None;
+        if (!src->constant) {
+            src->mu = PyFloat_AsDouble(PyTuple_GET_ITEM(res, 1));
+            src->sigma = PyFloat_AsDouble(PyTuple_GET_ITEM(res, 2));
+            if (s->demand.state == NULL) {
+                Py_INCREF(state);
+                s->demand.state = state;
+            }
+        }
+        Py_DECREF(res);
+        if (PyErr_Occurred())
+            return NULL;
+        src->ready = 1;
+    }
+    if (src->constant)
+        return plan_submit(w, src->mean);
+    double z;
+    if (stream_draw(&s->demand, M.standard_normal, &z) < 0)
+        return NULL;
+    return plan_submit(w, exp(src->mu + src->sigma * z));
+}
+
+/* Deployment.dispatch's plain path for a call the C fabric can take;
+ * NULL without an exception set when it cannot (resilience, subclasses,
+ * an unknown service), so the caller dispatches through Python. */
+static PyObject *
+plan_call_fast(CWorkerObject *w, PyObject *service, PyObject *endpoint,
+               PyObject *payload)
+{
+    if (!w->fast_fabric)
+        return NULL;
+    PyObject *resilience = PyObject_GetAttr(w->deployment, M.s_resilience);
+    if (resilience == NULL)
+        return NULL;
+    Py_DECREF(resilience);
+    if (resilience != Py_None)
+        return NULL;
+    PyObject *rpc = NULL, *balancers = NULL, *balancer = NULL;
+    PyObject *now = NULL, *done = NULL, *request = NULL, *instance = NULL;
+    PyObject *registry = PyObject_GetAttr(w->deployment, M.s_registry);
+    if (registry == NULL)
+        goto fail;
+    rpc = PyObject_GetAttr(w->deployment, M.str_rpc);
+    if (rpc == NULL)
+        goto fail;
+    if (Py_TYPE(registry) != (PyTypeObject *)M.registry_type
+        || Py_TYPE(rpc) != (PyTypeObject *)M.rpc_type)
+        goto cleanup;
+    balancers = PyObject_GetAttr(registry, M.s_balancers);
+    if (balancers == NULL)
+        goto fail;
+    if (!PyDict_CheckExact(balancers))
+        goto cleanup;
+    balancer = PyDict_GetItemWithError(balancers, service);
+    if (balancer == NULL) {
+        if (PyErr_Occurred())
+            goto fail;
+        goto cleanup;    /* unknown service: dispatch raises */
+    }
+    Py_INCREF(balancer);
+    if (Py_TYPE(balancer) != (PyTypeObject *)M.balancer_type)
+        goto cleanup;
+    now = Py_NewRef(slot_get(w->sim, M.sim_now));
+    done = make_event(w->sim);
+    if (done == NULL)
+        goto fail;
+    request = new_request(service, endpoint, done, payload, w->request, now);
+    if (request == NULL || attr_increment(registry, M.s_lookups) < 0)
+        goto fail;
+    instance = balancer_pick(balancer, now);
+    if (instance == NULL || fabric_deliver(rpc, w->sim, request, instance) < 0)
+        goto fail;
+    goto cleanup;   /* done: the call is on the wire */
+fail:
+    Py_CLEAR(done);
+    if (!PyErr_Occurred())
+        PyErr_SetString(PyExc_SystemError, "plain call failed silently");
+cleanup:
+    Py_XDECREF(registry);
+    Py_XDECREF(rpc);
+    Py_XDECREF(balancers);
+    Py_XDECREF(balancer);
+    Py_XDECREF(now);
+    Py_XDECREF(request);
+    Py_XDECREF(instance);
+    return done;
+}
+
+/* ServiceContext.call(service, endpoint, payload=payload). */
+static PyObject *
+plan_call(CWorkerObject *w, PyObject *service, PyObject *endpoint,
+          PyObject *payload)
+{
+    PyObject *done = plan_call_fast(w, service, endpoint, payload);
+    if (done != NULL || PyErr_Occurred())
+        return done;
+    PyObject *argv[5] = {w->deployment, service, endpoint, payload,
+                         w->request};
+    return PyObject_VectorcallMethod(M.s_dispatch, argv, 3,
+                                     M.kw_payload_parent);
+}
+
+/* ServiceContext.gather(*[ctx.call(...) for each call]). */
+static PyObject *
+plan_gather(CWorkerObject *w, PyObject *calls)
+{
+    Py_ssize_t n = PyTuple_GET_SIZE(calls);
+    PyObject *events = PyTuple_New(n);
+    if (events == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *call = PyTuple_GET_ITEM(calls, i);
+        PyObject *event = plan_call(w, PyTuple_GET_ITEM(call, 0),
+                                    PyTuple_GET_ITEM(call, 1),
+                                    PyTuple_GET_ITEM(call, 2));
+        if (event == NULL) {
+            Py_DECREF(events);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(events, i, event);
+    }
+    PyObject *all = gather_events(w->sim, events);
+    Py_DECREF(events);
+    return all;
+}
+
+/* runtime.query_demand(streams, op, payload): a numeric payload is
+ * drawn here from the stream's buffer; anything else (and every invalid
+ * argument) goes through the reference helper, which raises. */
+static int
+plan_query_demand(CWorkerObject *w, PlanStep *s, double *out)
+{
+    CPlanObject *p = w->plan;
+    PyObject *op = s->op;
+    PyObject *payload = slot_get(w->request, M.rq_payload);
+    double scale = PyFloat_AS_DOUBLE(OP_ITEM(op, 2));
+    double cv = PyFloat_AS_DOUBLE(OP_ITEM(op, 3));
+    double cost = 0.0;
+    int numeric = 0;
+    if (PyFloat_CheckExact(payload)) {
+        cost = PyFloat_AS_DOUBLE(payload) * scale;
+        numeric = 1;
+    }
+    else if (PyLong_CheckExact(payload)) {
+        double value = PyLong_AsDouble(payload);
+        if (value == -1.0 && PyErr_Occurred())
+            PyErr_Clear();
+        else {
+            cost = value * scale;
+            numeric = 1;
+        }
+    }
+    if (numeric && cost > 0.0 && cv == 0.0) {
+        *out = cost;
+        return 0;
+    }
+    if (!numeric || !(cost > 0.0) || !(cv > 0.0)) {
+        PyObject *argv[3] = {p->streams, op, payload};
+        PyObject *demand = PyObject_Vectorcall(M.query_demand, argv, 3,
+                                               NULL);
+        if (demand == NULL)
+            return -1;
+        *out = PyFloat_AsDouble(demand);
+        Py_DECREF(demand);
+        return (*out == -1.0 && PyErr_Occurred()) ? -1 : 0;
+    }
+    PyObject *mean = PyFloat_FromDouble(cost);
+    if (mean == NULL)
+        return -1;
+    PyObject *key = PyTuple_Pack(2, mean, OP_ITEM(op, 3));
+    if (key == NULL) {
+        Py_DECREF(mean);
+        return -1;
+    }
+    PyObject *params = PyDict_GetItemWithError(p->params, key);
+    Py_DECREF(key);
+    if (params != NULL)
+        Py_INCREF(params);
+    else if (!PyErr_Occurred()) {
+        PyObject *argv[3] = {p->streams, mean, OP_ITEM(op, 3)};
+        params = PyObject_VectorcallMethod(M.s_lognormal_params_for, argv,
+                                           3, NULL);
+    }
+    Py_DECREF(mean);
+    if (params == NULL)
+        return -1;
+    double mu = 0.0, sigma = 0.0;
+    if (PyTuple_Check(params) && PyTuple_GET_SIZE(params) == 2) {
+        mu = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 0));
+        sigma = PyFloat_AsDouble(PyTuple_GET_ITEM(params, 1));
+    }
+    else
+        PyErr_SetString(PyExc_TypeError, "lognormal params must be a pair");
+    Py_DECREF(params);
+    if (PyErr_Occurred())
+        return -1;
+    if (stream_bind(&s->demand, p->streams, OP_ITEM(op, 4),
+                    M.s_lognormal) < 0)
+        return -1;
+    double z;
+    if (stream_draw(&s->demand, M.standard_normal, &z) < 0)
+        return -1;
+    *out = exp(mu + sigma * z);
+    return 0;
+}
+
+/* End the running plan with `exc` (a new reference, consumed), as the
+ * reference handler's raise does: a held query lock is released first
+ * (the handler's `finally`), then an Exception fails the request and
+ * anything else escalates on the next processing slot. */
+static int
+plan_throw(CWorkerObject *w, PyObject *exc, int lock_held)
+{
+    if (lock_held && w->lock != NULL) {
+        PyObject *lock = w->lock;
+        w->lock = NULL;
+        int released = resource_release(lock);
+        Py_DECREF(lock);
+        if (released < 0) {
+            /* An exception raised in `finally` replaces the one in
+             * flight, which becomes its context. */
+            PyObject *raised = fetch_exception();
+            if (raised == NULL) {
+                Py_DECREF(exc);
+                return -1;
+            }
+            PyException_SetContext(raised, exc);
+            exc = raised;
+        }
+    }
+    return worker_raise(w, exc);
+}
+
+/* The plan yielded something that is not an event of this simulator:
+ * as _worker_protocol_error does for a handler, the error is raised at
+ * the yield, the request fails, and the worker parks for good behind a
+ * discarded queue get. */
+static int
+plan_protocol_error(CWorkerObject *w, PyObject *message, int lock_held)
+{
+    if (message == NULL)
+        return -1;
+    PyObject *error = PyObject_CallOneArg(M.sim_error, message);
+    Py_DECREF(message);
+    if (error == NULL)
+        return -1;
+    if (lock_held && w->lock != NULL) {
+        PyObject *lock = w->lock;
+        w->lock = NULL;
+        int released = resource_release(lock);
+        Py_DECREF(lock);
+        if (released < 0) {
+            Py_DECREF(error);
+            return -1;
+        }
+    }
+    PyObject *request = w->request;
+    w->request = NULL;
+    Py_CLEAR(w->plan);
+    int rv = worker_fail_request(w, request, error, 0);
+    Py_XDECREF(request);
+    Py_DECREF(error);
+    if (rv < 0)
+        return -1;
+    PyObject *discarded = PyObject_CallNoArgs(w->queue_get);
+    if (discarded == NULL)
+        return -1;
+    Py_DECREF(discarded);
+    return 0;
+}
+
+/* Interpret the plan from `pc` until it waits on an event or ends — the
+ * reference handler generator (runtime._plan_handler), step for step.
+ * A query op moves through `phase`: 0 draw and submit the parallel
+ * part; 1 acquire the shared lock; 2 submit the serial part under it;
+ * 3 release it (the handler's `finally`) and move on. */
+static int
+plan_run(CWorkerObject *w)
+{
+    for (;;) {
+        PlanStep *s = &w->plan->steps[w->pc];
+        PyObject *op = s->op;
+        PyObject *event = NULL;
+        int lock_held = 0;
+        switch (s->code) {
+        case OP_COMPUTE:
+            w->pc++;
+            event = plan_compute(w, s, 0, OP_ITEM(op, 1), OP_ITEM(op, 2),
+                                 OP_ITEM(op, 3));
+            break;
+        case OP_CALL:
+            w->pc++;
+            event = plan_call(w, OP_ITEM(op, 1), OP_ITEM(op, 2),
+                              OP_ITEM(op, 3));
+            break;
+        case OP_GATHER:
+            w->pc++;
+            event = plan_gather(w, OP_ITEM(op, 1));
+            break;
+        case OP_CACHE: {
+            w->pc++;
+            double z;
+            if (stream_bind(&s->aux, w->plan->streams, OP_ITEM(op, 6),
+                            M.s_uniform) < 0
+                || stream_draw(&s->aux, M.standard_uniform, &z) < 0)
+                break;
+            /* RandomStreams.uniform(name, 0.0, 1.0) */
+            int hit = 0.0 + (1.0 - 0.0) * z < PyFloat_AS_DOUBLE(OP_ITEM(op, 1));
+            event = plan_compute(w, s, hit ? 0 : 1, OP_ITEM(op, hit ? 2 : 3),
+                                 OP_ITEM(op, 4), OP_ITEM(op, 5));
+            break;
+        }
+        case OP_BATCH: {
+            w->pc++;
+            PyObject *argv[4] = {w->plan->streams, op,
+                                 slot_get(w->request, M.rq_payload),
+                                 w->plan->local_id};
+            PyObject *demand = PyObject_Vectorcall(M.batch_demand, argv, 4,
+                                                   NULL);
+            if (demand != NULL) {
+                event = core_submit_demand((SchedCoreObject *)w->core,
+                                           w->instance, demand);
+                Py_DECREF(demand);
+            }
+            break;
+        }
+        case OP_QUERY:
+            if (w->phase == 0) {
+                double demand;
+                w->phase = 1;
+                if (plan_query_demand(w, s, &demand) < 0)
+                    break;
+                double fraction = PyFloat_AS_DOUBLE(OP_ITEM(op, 1));
+                w->serial = demand * fraction;
+                event = plan_submit(w, demand * (1.0 - fraction));
+            }
+            else if (w->phase == 1) {
+                w->phase = 2;
+                PyObject *shared = slot_get(w->instance, M.in_shared);
+                PyObject *lock = shared
+                    ? PyObject_GetItem(shared, M.s_lock) : NULL;
+                if (lock == NULL) {
+                    if (!PyErr_Occurred())
+                        PyErr_SetString(PyExc_AttributeError, "shared");
+                    break;
+                }
+                event = resource_acquire(lock);
+                if (event != NULL)
+                    w->lock = lock;
+                else
+                    Py_DECREF(lock);
+            }
+            else if (w->phase == 2) {
+                w->phase = 3;
+                lock_held = 1;
+                event = plan_submit(w, w->serial);
+            }
+            else {
+                PyObject *lock = w->lock;
+                w->lock = NULL;
+                w->phase = 0;
+                w->pc++;
+                int rv = lock ? resource_release(lock) : -1;
+                Py_XDECREF(lock);
+                if (rv < 0) {
+                    if (!PyErr_Occurred())
+                        PyErr_SetString(PyExc_SystemError,
+                                        "query lock lost");
+                    break;
+                }
+                continue;
+            }
+            break;
+        default: {  /* OP_RETURN */
+            PyObject *response = OP_ITEM(op, 1);
+            Py_INCREF(response);
+            int rv = worker_finish(w, response);
+            Py_DECREF(response);
+            return rv;
+        }
+        }
+        if (event == NULL) {
+            PyObject *exc = fetch_exception();
+            return exc ? plan_throw(w, exc, lock_held) : -1;
+        }
+        /* The handler's `yield event`, as the worker drives it. */
+        if (!PyObject_TypeCheck(event, (PyTypeObject *)M.event_type)) {
+            PyObject *message = PyUnicode_FromFormat(
+                "process yielded a non-event: %R", event);
+            Py_DECREF(event);
+            return plan_protocol_error(w, message, lock_held);
+        }
+        if (slot_get(event, M.ev_sim) != w->sim) {
+            Py_DECREF(event);
+            return plan_protocol_error(w, PyUnicode_FromString(
+                "yielded event belongs to another simulator"), lock_held);
+        }
+        PyObject *callbacks = slot_get(event, M.ev_callbacks);
+        if (callbacks == NULL || callbacks == Py_None) {
+            /* Already processed: resume inline. */
+            if (truthy(slot_get(event, M.ev_ok))) {
+                Py_DECREF(event);
+                continue;
+            }
+            slot_store(event, M.ev_defused, Py_True);
+            PyObject *exc = slot_get(event, M.ev_value);
+            Py_INCREF(exc);
+            Py_DECREF(event);
+            return plan_throw(w, exc, lock_held);
+        }
+        int rv = PyList_Check(callbacks)
+            ? PyList_Append(callbacks, (PyObject *)w) : -1;
+        if (rv < 0 && !PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError,
+                            "event callbacks must be a list");
+        Py_DECREF(event);
+        return rv;
+    }
+}
+
+/* W_PLAN wake: the awaited event was processed. */
+static int
+plan_resume(CWorkerObject *w, PyObject *event)
+{
+    if (truthy(slot_get(event, M.ev_ok)))
+        return plan_run(w);
+    slot_store(event, M.ev_defused, Py_True);
+    PyObject *exc = slot_get(event, M.ev_value);
+    Py_INCREF(exc);
+    /* Only the serial part of a query op waits inside the `try`. */
+    PlanStep *s = &w->plan->steps[w->pc];
+    return plan_throw(w, exc, s->code == OP_QUERY && w->phase == 3);
 }
 
 /* machine._drive: pump the endpoint handler generator. */
@@ -1909,33 +3320,17 @@ worker_drive(CWorkerObject *w, PyObject *value, int failed)
             Py_DECREF(stop_value);
             break;
         }
+        /* Handler bug or modelled failure (or a BaseException). */
         PyObject *exc = fetch_exception();
-        if (exc == NULL) {
-            rv = -1;
-            break;
-        }
-        if (PyObject_IsInstance(exc, PyExc_Exception) > 0) {
-            /* Handler bug or modelled failure. */
-            PyObject *request = w->request;
-            w->request = NULL;
-            Py_CLEAR(w->handler);
-            rv = worker_fail_request(w, request, exc, 1);
-            Py_XDECREF(request);
-            Py_DECREF(exc);
-            break;
-        }
-        /* BaseException: escalate on the next processing slot. */
-        Py_CLEAR(w->handler);
-        Py_CLEAR(w->request);
-        rv = escalate(w->sim, exc);
-        Py_DECREF(exc);
+        rv = exc ? worker_raise(w, exc) : -1;
         break;
     }
     Py_DECREF(handler);
     return rv;
 }
 
-/* machine._begin: pause gate -> deadline -> handler construction. */
+/* machine._begin: pause gate -> deadline -> the endpoint's plan, or
+ * its handler generator when it has none. */
 static int
 worker_begin(CWorkerObject *w, PyObject *request)
 {
@@ -1984,14 +3379,63 @@ worker_begin(CWorkerObject *w, PyObject *request)
     }
     PyObject *context = NULL, *endpoint_spec = NULL;
     PyObject *handler_fn = NULL, *handler = NULL;
+    PyObject *name = slot_get(request, M.rq_endpoint);
+    PyObject *cplan = PyDict_GetItemWithError(w->plans, name);
+    if (cplan == NULL) {
+        /* First request for this endpoint: bind its plan, if any. */
+        if (PyErr_Occurred())
+            return -1;
+        endpoint_spec = PyObject_CallOneArg(w->resolve, name);
+        if (endpoint_spec == NULL)
+            goto construction_failed;
+        PyObject *plan = PyObject_GetAttr(endpoint_spec, M.s_plan);
+        if (plan == NULL) {
+            if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+                goto construction_failed;
+            PyErr_Clear();
+            plan = Py_NewRef(Py_None);
+        }
+        if (plan == Py_None || w->core == NULL) {
+            /* Drive the handler: no plan, or no C core to submit to. */
+            Py_DECREF(plan);
+            cplan = Py_NewRef(Py_None);
+        }
+        else {
+            PyObject *streams = PyObject_GetAttr(w->deployment,
+                                                 M.s_streams);
+            cplan = streams ? cplan_new(plan, streams,
+                                        slot_get(w->instance, M.in_local_id))
+                            : NULL;
+            Py_XDECREF(streams);
+            Py_DECREF(plan);
+        }
+        if (cplan == NULL)
+            goto construction_failed;
+        int rv = PyDict_SetItem(w->plans, name, cplan);
+        Py_DECREF(cplan);   /* the dict keeps it */
+        if (rv < 0)
+            goto construction_failed;
+    }
+    if (cplan != Py_None) {
+        Py_XDECREF(endpoint_spec);
+        Py_INCREF(request);
+        Py_XSETREF(w->request, request);
+        Py_INCREF(cplan);
+        Py_XSETREF(w->plan, (CPlanObject *)cplan);
+        w->pc = 0;
+        w->phase = 0;
+        w->state = W_PLAN;
+        return plan_run(w);
+    }
     context = PyObject_CallFunctionObjArgs(M.context_type, w->instance,
                                            request, NULL);
     if (context == NULL)
         goto construction_failed;
-    endpoint_spec = PyObject_CallOneArg(
-        w->resolve, slot_get(request, M.rq_endpoint));
-    if (endpoint_spec == NULL)
-        goto construction_failed;
+    if (endpoint_spec == NULL) {
+        endpoint_spec = PyObject_CallOneArg(w->resolve, name);
+        if (endpoint_spec == NULL)
+            goto construction_failed;
+    }
     handler_fn = PyObject_GetAttr(endpoint_spec, M.str_handler);
     if (handler_fn == NULL)
         goto construction_failed;
@@ -2045,7 +3489,9 @@ CWorker_vectorcall(PyObject *self, PyObject *const *args, size_t nargsf,
     PyObject *event = args[0];
     int rv;
     int state = w->state;
-    if (state == W_RUN) {
+    if (state == W_PLAN)
+        rv = plan_resume(w, event);
+    else if (state == W_RUN) {
         PyObject *value = slot_get(event, M.ev_value);
         if (truthy(slot_get(event, M.ev_ok)))
             rv = worker_drive(w, value, 0);
@@ -2089,11 +3535,17 @@ CWorker_dealloc(CWorkerObject *w)
     Py_XDECREF(w->instance);
     Py_XDECREF(w->deployment);
     Py_XDECREF(w->sim);
+    Py_XDECREF(w->rpc);
     Py_XDECREF(w->rpc_respond);
     Py_XDECREF(w->resolve);
     Py_XDECREF(w->queue_get);
+    Py_XDECREF(w->queue);
+    Py_XDECREF(w->core);
+    Py_XDECREF(w->plans);
     Py_XDECREF(w->request);
     Py_XDECREF(w->handler);
+    Py_XDECREF(w->plan);
+    Py_XDECREF(w->lock);
     Py_TYPE(w)->tp_free((PyObject *)w);
 }
 
@@ -2103,11 +3555,16 @@ CWorker_traverse(CWorkerObject *w, visitproc visit, void *arg)
     Py_VISIT(w->instance);
     Py_VISIT(w->deployment);
     Py_VISIT(w->sim);
+    Py_VISIT(w->rpc);
     Py_VISIT(w->rpc_respond);
     Py_VISIT(w->resolve);
     Py_VISIT(w->queue_get);
+    Py_VISIT(w->queue);
+    Py_VISIT(w->core);
+    Py_VISIT(w->plans);
     Py_VISIT(w->request);
     Py_VISIT(w->handler);
+    Py_VISIT(w->lock);
     return 0;
 }
 
@@ -2116,11 +3573,17 @@ CWorker_clear_impl(CWorkerObject *w)
 {
     Py_CLEAR(w->instance);
     Py_CLEAR(w->deployment);
+    Py_CLEAR(w->rpc);
     Py_CLEAR(w->rpc_respond);
     Py_CLEAR(w->resolve);
     Py_CLEAR(w->queue_get);
+    Py_CLEAR(w->queue);
+    Py_CLEAR(w->core);
+    Py_CLEAR(w->plans);
     Py_CLEAR(w->request);
     Py_CLEAR(w->handler);
+    Py_CLEAR(w->plan);
+    Py_CLEAR(w->lock);
     return 0;
 }
 
@@ -2157,13 +3620,33 @@ CWorker_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     w->sim = PyObject_GetAttr(deployment, M.str_sim);
     if (w->sim == NULL)
         goto fail;
-    PyObject *rpc = PyObject_GetAttr(deployment, M.str_rpc);
-    if (rpc == NULL)
+    w->rpc = PyObject_GetAttr(deployment, M.str_rpc);
+    if (w->rpc == NULL)
         goto fail;
-    w->rpc_respond = PyObject_GetAttr(rpc, M.str_respond);
-    Py_DECREF(rpc);
+    w->rpc_respond = PyObject_GetAttr(w->rpc, M.str_respond);
     if (w->rpc_respond == NULL)
         goto fail;
+    w->fast_fabric = Py_TYPE(deployment) == (PyTypeObject *)M.deployment_type
+        && Py_TYPE(w->rpc) == (PyTypeObject *)M.rpc_type
+        && Py_TYPE(w->sim) == (PyTypeObject *)M.sim_type;
+    w->plans = PyObject_GetAttr(instance, M.s_plans);
+    if (w->plans == NULL)
+        goto fail;
+    if (!PyDict_CheckExact(w->plans)) {
+        PyErr_SetString(PyExc_TypeError, "instance._plans must be a dict");
+        goto fail;
+    }
+    PyObject *scheduler = PyObject_GetAttr(deployment, M.s_scheduler);
+    if (scheduler == NULL)
+        goto fail;
+    PyObject *core = PyObject_GetAttr(scheduler, M.s_core);
+    Py_DECREF(scheduler);
+    if (core == NULL)
+        PyErr_Clear();
+    else if (Py_TYPE(core) == &SchedCore_Type)
+        w->core = core;
+    else
+        Py_DECREF(core);
     PyObject *spec = slot_get(instance, M.in_spec);
     if (spec == NULL) {
         PyErr_SetString(PyExc_AttributeError, "spec");
@@ -2180,6 +3663,17 @@ CWorker_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     w->queue_get = PyObject_GetAttr(queue, M.str_get);
     if (w->queue_get == NULL)
         goto fail;
+    if (Py_TYPE(queue) == (PyTypeObject *)M.store_type
+        && Py_TYPE(w->sim) == (PyTypeObject *)M.sim_type) {
+        PyObject *queue_sim = PyObject_GetAttr(queue, M.str_sim);
+        if (queue_sim == NULL)
+            goto fail;
+        if (queue_sim == w->sim) {
+            Py_INCREF(queue);
+            w->queue = queue;
+        }
+        Py_DECREF(queue_sim);
+    }
     /* Same bootstrap pattern (and counter consumption) as the Python
      * machine and Process: first run on the next processing slot. */
     PyObject *bootstrap = PyObject_CallOneArg(M.event_type, w->sim);
@@ -2409,12 +3903,142 @@ cmodel_configure(PyObject *Py_UNUSED(module), PyObject *args)
     Py_RETURN_NONE;
 }
 
+/* configure_plans(env): wire the endpoint-plan interpreter and the
+ * plain fabric to the Python side.  `env` maps the names below to the
+ * classes and helpers they mirror; call after configure(). */
+static PyObject *
+cmodel_configure_plans(PyObject *Py_UNUSED(module), PyObject *env)
+{
+    if (!M.configured || !PyDict_Check(env)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "configure_plans(dict) needs configure() first");
+        return NULL;
+    }
+    struct { PyObject **slot; const char *key; } objects[] = {
+        {&M.allof_type, "AllOf"},
+        {&M.store_type, "Store"},
+        {&M.resource_type, "Resource"},
+        {&M.deployment_type, "Deployment"},
+        {&M.rpc_type, "RpcFabric"},
+        {&M.registry_type, "ServiceRegistry"},
+        {&M.balancer_type, "LoadBalancer"},
+        {&M.standard_normal, "standard_normal"},
+        {&M.standard_uniform, "standard_uniform"},
+        {&M.batch_demand, "batch_demand"},
+        {&M.query_demand, "query_demand"},
+        {&M.request_ids, "request_ids"},
+    };
+    PyObject *stream_state_type = PyDict_GetItemString(env, "_StreamState");
+    if (stream_state_type == NULL) {
+        PyErr_SetString(PyExc_KeyError, "_StreamState");
+        return NULL;
+    }
+    for (size_t i = 0; i < sizeof(objects) / sizeof(objects[0]); i++) {
+        PyObject *value = PyDict_GetItemString(env, objects[i].key);
+        if (value == NULL) {
+            PyErr_SetString(PyExc_KeyError, objects[i].key);
+            return NULL;
+        }
+        Py_INCREF(value);
+        Py_XSETREF(*objects[i].slot, value);
+    }
+    struct { Py_ssize_t *slot; PyObject *type; const char *name; }
+    members[] = {
+        {&M.sim_schedule2, M.sim_type, "schedule2"},
+        {&M.ss_buffer, stream_state_type, "buffer"},
+        {&M.ss_cursor, stream_state_type, "cursor"},
+        {&M.rq_id, M.request_type, "request_id"},
+        {&M.rq_service, M.request_type, "service_name"},
+        {&M.rq_payload, M.request_type, "payload"},
+        {&M.rq_parent, M.request_type, "parent"},
+        {&M.rq_created, M.request_type, "created_at"},
+        {&M.rq_enqueued, M.request_type, "enqueued_at"},
+        {&M.rq_instance_id, M.request_type, "instance_id"},
+        {&M.rq_attempt, M.request_type, "attempt"},
+        {&M.in_accepting, M.instance_type, "accepting"},
+        {&M.in_breaker, M.instance_type, "breaker"},
+        {&M.in_instance_id, M.instance_type, "instance_id"},
+        {&M.in_shared, M.instance_type, "shared"},
+        {&M.in_local_id, M.instance_type, "local_id"},
+    };
+    for (size_t i = 0; i < sizeof(members) / sizeof(members[0]); i++) {
+        Py_ssize_t offset = member_offset(members[i].type, members[i].name);
+        if (offset < 0)
+            return NULL;
+        *members[i].slot = offset;
+    }
+    if (M.s_next_standard == NULL) {
+        struct { PyObject **slot; const char *text; } names[] = {
+            {&M.s_next_standard, "next_standard"},
+            {&M.s_state, "_state"},
+            {&M.s_lognormal_source, "_lognormal_source"},
+            {&M.s_lognormal_params, "_lognormal_params"},
+            {&M.s_lognormal_params_for, "_lognormal_params_for"},
+            {&M.s_lognormal, "lognormal"},
+            {&M.s_uniform, "uniform"},
+            {&M.s_resilience, "resilience"},
+            {&M.s_registry, "registry"},
+            {&M.s_balancers, "_balancers"},
+            {&M.s_lookups, "lookups"},
+            {&M.s_policy, "policy"},
+            {&M.s_round_robin, "round_robin"},
+            {&M.s_instances, "_instances"},
+            {&M.s_next, "_next"},
+            {&M.s_pick, "pick"},
+            {&M.s_messages_sent, "messages_sent"},
+            {&M.s_hop_latency, "hop_latency"},
+            {&M.s_arrive, "_arrive"},
+            {&M.s_enqueue, "enqueue"},
+            {&M.s_getters, "_getters"},
+            {&M.s_items, "_items"},
+            {&M.s_capacity, "capacity"},
+            {&M.s_popleft, "popleft"},
+            {&M.s_append, "append"},
+            {&M.s_dispatch, "dispatch"},
+            {&M.s_deployment, "deployment"},
+            {&M.s_rpc, "rpc"},
+            {&M.s_streams, "streams"},
+            {&M.s_scheduler, "scheduler"},
+            {&M.s_core, "_core"},
+            {&M.s_plan, "plan"},
+            {&M.s_lock, "lock"},
+            {&M.s_acquire, "acquire"},
+            {&M.s_release, "release"},
+            {&M.s_putters, "_putters"},
+            {&M.s_in_use, "_in_use"},
+            {&M.s_waiters, "_waiters"},
+            {&M.s_plans, "_plans"},
+        };
+        for (size_t i = 0; i < sizeof(names) / sizeof(names[0]); i++) {
+            *names[i].slot = PyUnicode_InternFromString(names[i].text);
+            if (*names[i].slot == NULL)
+                return NULL;
+        }
+        M.zero = PyLong_FromLong(0);
+        M.one = PyLong_FromLong(1);
+        M.kw_payload_parent = Py_BuildValue("(ss)", "payload", "parent");
+        if (M.zero == NULL || M.one == NULL || M.kw_payload_parent == NULL)
+            return NULL;
+    }
+    Py_RETURN_NONE;
+}
+
+static PyMethodDef hop_defs[] = {
+    {"_arrive", (PyCFunction)(void (*)(void))cmodel_arrive, METH_FASTCALL,
+     "_arrive(request, instance): RpcFabric._arrive for the plain fabric."},
+    {"_hop_succeed", (PyCFunction)(void (*)(void))cmodel_hop_succeed,
+     METH_FASTCALL, "_hop_succeed(done, response): done.succeed(response)."},
+};
+
 static PyMethodDef cmodel_functions[] = {
     {"configure", cmodel_configure, METH_VARARGS,
      "configure(Event, _PENDING, SimulationError, Simulator, CpuBurst, "
      "TaskGroup, Request, ServiceInstance, ServiceContext, "
      "_worker_protocol_error)\n"
      "Wire the model layer to the Python-side simulation classes."},
+    {"configure_plans", cmodel_configure_plans, METH_O,
+     "configure_plans(env)\n"
+     "Wire the endpoint-plan interpreter to the Python side."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -2435,9 +4059,19 @@ PyInit__cmodel(void)
         return NULL;
     if (PyType_Ready(&CWorker_Type) < 0)
         return NULL;
+    if (PyType_Ready(&CPlan_Type) < 0 || PyType_Ready(&Gather_Type) < 0)
+        return NULL;
     PyObject *module = PyModule_Create(&cmodel_module);
     if (module == NULL)
         return NULL;
+    if (M.arrive_fn == NULL) {
+        M.arrive_fn = PyCFunction_New(&hop_defs[0], NULL);
+        M.hop_succeed_fn = PyCFunction_New(&hop_defs[1], NULL);
+        if (M.arrive_fn == NULL || M.hop_succeed_fn == NULL) {
+            Py_DECREF(module);
+            return NULL;
+        }
+    }
     Py_INCREF(&SchedCore_Type);
     if (PyModule_AddObject(module, "SchedCore",
                            (PyObject *)&SchedCore_Type) < 0) {

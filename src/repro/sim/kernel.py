@@ -364,6 +364,27 @@ def model_module() -> t.Any | None:
                 engine.Simulator, CpuBurst, TaskGroup, Request,
                 ServiceInstance, ServiceContext, _worker_protocol_error,
                 SchedulingError, MemorySystemModel)
+            # The endpoint-plan interpreter and the plain fabric mirror
+            # these classes and helpers (see CWorker in _cmodel.c).
+            from repro.apps import runtime
+            from repro.services import deployment, registry
+            from repro.services import loadbalancer, request, rpc
+            from repro.sim import rand, resources
+            module.configure_plans({
+                "AllOf": events.AllOf,
+                "Store": resources.Store,
+                "Resource": resources.Resource,
+                "Deployment": deployment.Deployment,
+                "RpcFabric": rpc.RpcFabric,
+                "ServiceRegistry": registry.ServiceRegistry,
+                "LoadBalancer": loadbalancer.LoadBalancer,
+                "_StreamState": rand._StreamState,
+                "standard_normal": rand._standard_normal,
+                "standard_uniform": rand._standard_uniform,
+                "batch_demand": runtime.batch_demand,
+                "query_demand": runtime.query_demand,
+                "request_ids": request._request_ids,
+            })
         _model_module = module
         _model_checked = True
     return _model_module

@@ -15,6 +15,9 @@ import typing as t
 import zlib
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; import it here so
+# the first simulation does not pay the import inside a run.
+import numpy.random  # noqa: F401
 
 from repro._errors import ConfigurationError
 
@@ -163,21 +166,10 @@ class RandomStreams:
         lognormal with a given mean and CV is the conventional stand-in.
         ``cv == 0`` degenerates to the deterministic mean.
         """
-        if mean <= 0:
-            raise ValueError(f"mean must be positive: {mean}")
-        if cv < 0:
-            raise ValueError(f"cv must be non-negative: {cv}")
-        if cv == 0:
+        state, mu, sigma = self._lognormal_source(name, mean, cv)
+        if state is None:
             return mean
-        params = self._lognormal_params.get((mean, cv))
-        if params is None:
-            sigma2 = np.log1p(cv * cv)
-            mu = np.log(mean) - sigma2 / 2.0
-            params = (float(mu), float(np.sqrt(sigma2)))
-            self._lognormal_params[(mean, cv)] = params
-        state = self._state(name, "lognormal")
-        return math.exp(params[0]
-                        + params[1] * state.next_standard(_standard_normal))
+        return math.exp(mu + sigma * state.next_standard(_standard_normal))
 
     def lognormal_sampler(self, name: str, mean: float,
                           cv: float) -> t.Callable[[], float]:
@@ -190,22 +182,42 @@ class RandomStreams:
         Service handlers with fixed per-endpoint demand distributions
         use this to keep per-request lookups off the hot path.
         """
+        state, mu, sigma = self._lognormal_source(name, mean, cv)
+        if state is None:
+            return lambda: mean
+        draw = state.next_standard
+        exp = math.exp
+        return lambda: exp(mu + sigma * draw(_standard_normal))
+
+    def _lognormal_source(self, name: str, mean: float, cv: float
+                          ) -> tuple[_StreamState | None, float, float]:
+        """Validated ``(state, mu, sigma)`` behind lognormal draws on
+        ``name``: each draw is ``exp(mu + sigma * z)`` with ``z`` the
+        state's next standard normal.  ``state`` is ``None`` when
+        ``cv == 0`` (every draw is ``mean``; the stream is untouched).
+
+        The compiled worker draws from the returned state itself, so
+        this is the one place the parameters are derived.
+        """
         if mean <= 0:
             raise ValueError(f"mean must be positive: {mean}")
         if cv < 0:
             raise ValueError(f"cv must be non-negative: {cv}")
         if cv == 0:
-            return lambda: mean
+            return None, mean, 0.0
+        mu, sigma = self._lognormal_params_for(mean, cv)
+        return self._state(name, "lognormal"), mu, sigma
+
+    def _lognormal_params_for(self, mean: float,
+                              cv: float) -> tuple[float, float]:
+        """``(mu, sigma)`` for a positive ``mean`` and ``cv``, cached."""
         params = self._lognormal_params.get((mean, cv))
         if params is None:
             sigma2 = np.log1p(cv * cv)
             mu = np.log(mean) - sigma2 / 2.0
             params = (float(mu), float(np.sqrt(sigma2)))
             self._lognormal_params[(mean, cv)] = params
-        mu, sigma = params
-        draw = self._state(name, "lognormal").next_standard
-        exp = math.exp
-        return lambda: exp(mu + sigma * draw(_standard_normal))
+        return params
 
     def uniform(self, name: str, low: float = 0.0, high: float = 1.0) -> float:
         """One uniform draw on stream ``name``."""

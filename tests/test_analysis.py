@@ -1,6 +1,8 @@
 """Unit + property tests for USL/Amdahl fits and scaling curves."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,3 +148,14 @@ def test_weights_validation():
         weights_from_utilization({"a": -1.0})
     with pytest.raises(PlacementError):
         weights_from_utilization({"a": 0.0})
+
+
+def test_simulation_imports_do_not_load_scipy():
+    """SciPy is needed only by the analysis fits and confidence
+    intervals, so the simulation's import path must not pull it in."""
+    code = ("import sys, repro, repro.experiments.common, "
+            "repro.chaos.campaign; "
+            "print('scipy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"

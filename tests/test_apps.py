@@ -152,6 +152,41 @@ def test_serialized_query_requires_shared_lock():
         _minimal_spec(services=(_minimal_spec().services[0], back))
 
 
+def _payload_spec(case):
+    """The minimal spec with ``back.load`` made a payload consumer."""
+    step = {"query-without-payload": {"op": "serialized_query",
+                                      "serial_fraction": 0.5},
+            "float-batch-payload": {"op": "cached_batch",
+                                    "default_count": 2, "hit_rate": 0.5,
+                                    "hit_demand": 0.001,
+                                    "miss_demand": 0.002},
+            "session-on-query": {"op": "serialized_query",
+                                 "serial_fraction": 0.5}}[case]
+    call = {"op": "call", "service": "back", "endpoint": "load"}
+    if case == "float-batch-payload":
+        call["payload"] = 2.5
+    elif case == "session-on-query":
+        call["payload"] = 0.002
+    front = _service("front", (EndpointDef(name="home", steps=(
+        {"op": "compute", "demand": 0.001}, call)),))
+    back = _service("back", (EndpointDef(name="load", steps=(step,)),),
+                    shared_lock=True)
+    sessions = (SessionDef(name="browse", service="front", start="home",
+                           transitions={"home": (("home", 1.0),)}),)
+    if case == "session-on-query":
+        sessions = (SessionDef(name="browse", service="back", start="load",
+                               transitions={"load": (("load", 1.0),)}),)
+    return _minimal_spec(services=(front, back), sessions=sessions)
+
+
+@pytest.mark.parametrize("case", ("query-without-payload",
+                                  "float-batch-payload",
+                                  "session-on-query"))
+def test_payloads_the_target_op_cannot_use_raise(case):
+    with pytest.raises(ConfigurationError, match="payload"):
+        _payload_spec(case)
+
+
 def test_session_transition_probabilities_must_sum_to_one():
     with pytest.raises(ConfigurationError):
         _minimal_spec(sessions=(
