@@ -14,13 +14,12 @@ from repro import (
     ClosedLoopWorkload,
     CounterBank,
     Deployment,
-    TeaStoreConfig,
-    build_teastore,
+    deploy_application,
+    get_app,
     run_experiment,
     single_socket_rome,
 )
 from repro.spec import run_batch_kernels
-from repro.teastore import SERVICE_NAMES
 from repro.spec.kernels import KERNEL_NAMES
 
 
@@ -29,9 +28,10 @@ def main() -> None:
     bank = CounterBank()
 
     deployment = Deployment(machine, seed=11, counter_sink=bank)
-    store = build_teastore(deployment, TeaStoreConfig())
+    store = deploy_application(deployment, get_app("teastore"))
+    service_names = store.spec.service_names()
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory("browse"),
         n_users=1200, think_time=0.125)
     run_experiment(deployment, workload, warmup=1.0, duration=2.0)
 
@@ -42,15 +42,15 @@ def main() -> None:
               f"{'MEM-bound':>10s}")
     print(header)
     print("-" * len(header))
-    for name in list(SERVICE_NAMES) + list(KERNEL_NAMES):
+    for name in service_names + KERNEL_NAMES:
         totals = bank.totals(name)
-        klass = "microservice" if name in SERVICE_NAMES else "spec-class"
+        klass = "microservice" if name in service_names else "spec-class"
         print(f"{name:14s} {klass:13s} {totals.ipc:5.2f} "
               f"{totals.l1i_mpki:9.1f} {totals.l3_mpki:8.2f} "
               f"{totals.frontend_bound_fraction:9.1%} "
               f"{totals.memory_bound_fraction:10.1%}")
 
-    services = [bank.totals(n) for n in SERVICE_NAMES]
+    services = [bank.totals(n) for n in service_names]
     kernels = [bank.totals(n) for n in KERNEL_NAMES]
     print()
     print(f"mean IPC      — services: "

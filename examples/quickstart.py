@@ -12,8 +12,8 @@ Run:  python examples/quickstart.py
 from repro import (
     ClosedLoopWorkload,
     Deployment,
-    TeaStoreConfig,
-    build_teastore,
+    deploy_application,
+    get_app,
     run_experiment,
     single_socket_rome,
 )
@@ -25,11 +25,11 @@ def main() -> None:
     print()
 
     deployment = Deployment(machine, seed=42)
-    store = build_teastore(deployment, TeaStoreConfig())
+    store = deploy_application(deployment, get_app("teastore"))
     print(f"deployed: {store}")
 
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory("browse"),
         n_users=1000, think_time=0.125)
     result = run_experiment(deployment, workload, warmup=1.0, duration=3.0)
 

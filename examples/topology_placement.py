@@ -16,9 +16,9 @@ Run:  python examples/topology_placement.py
 from repro import (
     ClosedLoopWorkload,
     Deployment,
-    TeaStoreConfig,
-    build_teastore,
     ccx_aware_auto,
+    deploy_application,
+    get_app,
     run_experiment,
     single_socket_rome,
     unpinned,
@@ -31,10 +31,10 @@ THINK_TIME = 0.125
 
 def measure(machine, allocation, label):
     deployment = Deployment(machine, seed=7)
-    store = build_teastore(deployment, TeaStoreConfig(),
-                           placement=allocation.as_placement())
+    store = deploy_application(deployment, get_app("teastore"),
+                               placement=allocation.as_placement())
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory("browse"),
         n_users=USERS, think_time=THINK_TIME)
     result = run_experiment(deployment, workload, warmup=1.5, duration=3.0)
     print(f"{label:24s} {result}")
@@ -43,10 +43,8 @@ def measure(machine, allocation, label):
 
 def main() -> None:
     machine = single_socket_rome()
-    config = TeaStoreConfig()
-    counts = {name: config.replica_count(name)
-              for name in ("webui", "auth", "persistence", "image",
-                           "recommender", "db")}
+    counts = {service.name: service.replicas
+              for service in get_app("teastore").services}
 
     print("step 1: profile the tuned baseline")
     baseline = measure(machine, unpinned(machine, counts), "tuned baseline")

@@ -9,7 +9,8 @@ on high-core-count servers:
 * :mod:`repro.cpu` — OS-like scheduler, SMT and boost models;
 * :mod:`repro.memory` — L3/NUMA performance model;
 * :mod:`repro.services` — microservice substrate (instances, RPC, LB);
-* :mod:`repro.teastore` — the TeaStore application model;
+* :mod:`repro.apps` — applications as JSON specs (TeaStore, the
+  paper's application, and two more) and the runtime deploying them;
 * :mod:`repro.workload` — closed/open-loop load generation;
 * :mod:`repro.metrics` — latency/throughput/counters/statistics;
 * :mod:`repro.placement` — topology-aware placement (the paper's
@@ -20,12 +21,12 @@ on high-core-count servers:
 
 Quickstart::
 
-    from repro import Deployment, TeaStoreConfig, build_teastore
+    from repro import Deployment, deploy_application, get_app
     from repro import ClosedLoopWorkload, run_experiment, single_socket_rome
 
     deployment = Deployment(single_socket_rome(), seed=1)
-    store = build_teastore(deployment, TeaStoreConfig())
-    load = ClosedLoopWorkload(deployment, store.browse_session_factory(),
+    store = deploy_application(deployment, get_app("teastore"))
+    load = ClosedLoopWorkload(deployment, store.session_factory("browse"),
                               n_users=1000, think_time=0.125)
     print(run_experiment(deployment, load))
 """
@@ -44,6 +45,7 @@ from repro._errors import (
     WorkloadError,
 )
 from repro.analysis import fit_amdahl, fit_usl
+from repro.apps import deploy_application, get_app
 from repro.calibration import calibrate_headline
 from repro.memory import MemoryConfig, MemorySystemModel, WorkloadProfile
 from repro.metrics import CounterBank, LatencyRecorder, ThroughputMeter
@@ -59,7 +61,6 @@ from repro.placement import (
 )
 from repro.services import Deployment, ResilienceConfig, ServiceSpec
 from repro.sim import Simulator
-from repro.teastore import TeaStore, TeaStoreConfig, browse_profile, build_teastore
 from repro.topology import (
     CpuSet,
     Machine,
@@ -108,20 +109,18 @@ __all__ = [
     "ServiceUnavailableError",
     "SimulationError",
     "Simulator",
-    "TeaStore",
-    "TeaStoreConfig",
     "ThroughputMeter",
     "TopologyError",
     "WorkloadError",
     "WorkloadProfile",
-    "browse_profile",
-    "build_teastore",
     "calibrate_headline",
     "ccx_aware",
     "ccx_aware_auto",
+    "deploy_application",
     "dual_socket_rome",
     "fit_amdahl",
     "fit_usl",
+    "get_app",
     "machine_from_preset",
     "medium_machine",
     "node_spread",

@@ -14,8 +14,6 @@ graph into data:
 * :mod:`~repro.apps.registry` — the bundled applications
   (``teastore``, ``boutique``, ``socialnet``), each defined only by its
   committed JSON file under ``specs/``.
-* :mod:`~repro.apps.teastore_app` — the TeaStore spec with a
-  :class:`~repro.teastore.config.TeaStoreConfig` written into it.
 """
 
 from repro.apps.registry import (

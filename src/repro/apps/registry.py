@@ -26,10 +26,11 @@ SPEC_DIR = pathlib.Path(__file__).with_name("specs")
 def get_app(name: str, fast: bool = False) -> ApplicationSpec:
     """One bundled application spec (``fast`` applies test-scale sizing).
 
-    The TeaStore spec returned here carries its default calibration;
-    experiment code parameterizes it through
-    ``ExperimentSettings.application()`` instead, so the TeaStore config
-    knobs keep working.
+    This is how every application, TeaStore included, is deployed:
+    ``ExperimentSettings.application()`` calls it with the settings'
+    app and preset.  To change a calibration value, edit the JSON file,
+    or build a variant in code with ``ApplicationSpec.from_dict`` on an
+    edited ``to_dict()``.
     """
     return load_bundled(name).sized(fast)
 
@@ -43,12 +44,8 @@ def spec_path(name: str) -> pathlib.Path:
 
 
 def load_bundled(name: str) -> ApplicationSpec:
-    """Parse and validate one bundled JSON spec file.
-
-    TeaStore's file is read when :mod:`repro.teastore` is imported, so a
-    broken ``teastore.json`` fails the import with this error, naming
-    the file, just as a broken module would.
-    """
+    """Parse and validate one bundled JSON spec file (errors name
+    the file)."""
     path = spec_path(name)
     try:
         return spec_mod.load_file(path)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import typing as t
 
+from repro.apps.runtime import deploy_application
 from repro.chaos.cascade import (
     CascadeReport,
     ServiceImpact,
@@ -39,7 +40,6 @@ from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
     Row,
-    build_application,
 )
 from repro.orchestrator import plan
 from repro.services.deployment import Deployment
@@ -57,15 +57,6 @@ TITLE = "Chaos campaign: bottleneck scenarios x resilience grid"
 
 if t.TYPE_CHECKING:  # pragma: no cover
     from repro.apps.spec import ApplicationSpec
-
-
-def _active_app(settings: ExperimentSettings) -> "ApplicationSpec | None":
-    """The spec catalog/targets resolve against (``None`` = TeaStore).
-
-    TeaStore maps to ``None`` so the default path reuses the cached
-    default spec and stays byte-identical to the pre-``--app`` runner.
-    """
-    return None if settings.app == "teastore" else settings.application()
 
 
 @dataclasses.dataclass
@@ -95,7 +86,7 @@ def execute_cell(settings: ExperimentSettings,
     deployment = Deployment(settings.machine(), seed=settings.seed,
                             memory_config=settings.memory_config,
                             resilience=resilience)
-    store = build_application(settings, deployment)
+    store = deploy_application(deployment, settings.application())
     injector = FaultInjector(deployment)
     injector.apply(schedule)
     workload = closed_workload(
@@ -150,7 +141,7 @@ def fault_window(scenario: Scenario, settings: ExperimentSettings,
 def run_cell(settings: ExperimentSettings, scenario: Scenario,
              mode: str) -> plan.Payload:
     """Execute one (scenario, mode) cell and fold in cascade + grade."""
-    app = _active_app(settings)
+    app = settings.application()
     target = scenario.target_for(app)
     schedule = scenario.schedule(settings, app)
     outcome = execute_cell(settings, schedule,
@@ -207,7 +198,7 @@ def sweep_points(settings: ExperimentSettings,
     eagerly, before any cell runs.
     """
     if scenarios is None:
-        scenarios = builtin_catalog(_active_app(settings))
+        scenarios = builtin_catalog(settings.application())
     modes = RESILIENCE_MODES if modes is None else modes
     points = []
     index = 0
@@ -286,7 +277,7 @@ def campaign_points(settings: ExperimentSettings,
     if scenario_names is None:
         scenarios = None
     else:
-        catalog = builtin_catalog(_active_app(settings))
+        catalog = builtin_catalog(settings.application())
         scenarios = [scenario_by_name(name, catalog)
                      for name in scenario_names]
     return sweep_points(settings, scenarios, modes)

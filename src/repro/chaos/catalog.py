@@ -34,10 +34,11 @@ scenario                  bottleneck class            fault
 from __future__ import annotations
 
 import dataclasses
-import functools
 import typing as t
 
 from repro._errors import ConfigurationError
+from repro.apps.registry import get_app
+from repro.apps.spec import CHAOS_ROLES
 from repro.workload.faults import FABRIC, FAULT_KINDS
 
 if t.TYPE_CHECKING:  # pragma: no cover
@@ -55,11 +56,9 @@ BOTTLENECK_CLASSES = (
 )
 
 
-@functools.lru_cache(maxsize=1)
-def _default_app() -> "ApplicationSpec":
-    """TeaStore: the application scenarios resolve against by default."""
-    from repro.apps.teastore_app import teastore_app
-    return teastore_app()
+#: The target-policy roles: the spec-bound service roles plus the
+#: fabric-wide wildcard.
+TARGET_ROLES = (*CHAOS_ROLES, "fabric")
 
 
 def call_graph(app: "ApplicationSpec | None" = None
@@ -70,7 +69,7 @@ def call_graph(app: "ApplicationSpec | None" = None
     this; the cascade analyzer itself trusts only the edges it
     *observes* in the trace.
     """
-    return (app or _default_app()).call_graph()
+    return (app or get_app("teastore")).call_graph()
 
 
 def target_policies(app: "ApplicationSpec | None" = None
@@ -81,20 +80,13 @@ def target_policies(app: "ApplicationSpec | None" = None
     ``chaos_targets`` binding; ``fabric`` maps to the wildcard the
     injector uses for fabric-wide faults.
     """
-    spec = app or _default_app()
+    spec = app or get_app("teastore")
     return {
         "orchestrator": spec.chaos_targets["orchestrator"],
         "hottest": spec.chaos_targets["hottest"],
         "storage": spec.chaos_targets["storage"],
         "fabric": FABRIC,
     }
-
-
-#: The TeaStore call graph and role bindings — the defaults every
-#: un-parameterized resolution uses (kept as module constants for
-#: backward compatibility; derived from the spec, not hand-written).
-CALL_GRAPH: dict[str, tuple[str, ...]] = call_graph()
-TARGET_POLICIES: dict[str, str] = target_policies()
 
 
 def resolve_target(policy: str,
@@ -243,12 +235,12 @@ class Scenario:
         # Validate the policy *syntax* eagerly; the concrete service is
         # resolved against the active application at catalog load /
         # schedule time (scenarios are application-portable).
-        if self.target not in TARGET_POLICIES and not (
+        if self.target not in TARGET_ROLES and not (
                 self.target.startswith("service:")
                 and self.target[len("service:"):]):
             raise ConfigurationError(
                 f"unknown target policy {self.target!r}; choose from "
-                f"{tuple(sorted(TARGET_POLICIES))} or 'service:<name>'")
+                f"{tuple(sorted(TARGET_ROLES))} or 'service:<name>'")
         for fault in self.faults:
             kind = fault.get("kind")
             if kind not in FAULT_KINDS:
@@ -378,7 +370,7 @@ def builtin_catalog(app: "ApplicationSpec | None" = None
     load, not mid-campaign.  For TeaStore the derivation reproduces the
     original hand-written expectations byte for byte.
     """
-    spec = app or _default_app()
+    spec = app or get_app("teastore")
     graph = call_graph(spec)
 
     def derived(policy: str) -> tuple[tuple[str, ...], int]:

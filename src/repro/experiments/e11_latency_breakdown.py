@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import typing as t
 
+from repro._errors import ConfigurationError
+from repro.apps.runtime import deploy_application
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
@@ -20,7 +22,6 @@ from repro.experiments.common import (
 )
 from repro.orchestrator import plan
 from repro.services.deployment import Deployment
-from repro.teastore.store import build_teastore
 from repro.tracing.collector import TraceCollector
 from repro.workload.cohorts import closed_workload
 
@@ -42,7 +43,13 @@ def run(settings: ExperimentSettings | None = None,
 def sweep_points(settings: ExperimentSettings,
                  endpoints: t.Sequence[str] = DEFAULT_ENDPOINTS
                  ) -> list[plan.SweepPoint]:
-    """One point: all endpoints decompose from a single traced run."""
+    """One point: all endpoints decompose from a single traced run of
+    the active application's ``buy`` session."""
+    sessions = [session.name for session in settings.application().sessions]
+    if "buy" not in sessions:
+        raise ConfigurationError(
+            f"E11 traces the 'buy' session; application {settings.app!r} "
+            f"has only {sessions}")
     return [plan.SweepPoint(
         "e11", 0, "trace", "buy-profile", settings,
         params=(("endpoints", tuple(endpoints)),))]
@@ -54,13 +61,13 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
     machine = settings.machine()
     deployment = Deployment(machine, seed=settings.seed,
                             memory_config=settings.memory_config)
-    store = build_teastore(deployment, settings.store_config())
+    store = deploy_application(deployment, settings.application())
     # The buy profile exercises the checkout path the browse profile
     # lacks.  Moderate load (quarter of the saturating population): the
     # decomposition should expose the *structure* of page latency, not
     # the depth of saturation queues.
     workload = closed_workload(
-        deployment, store.buy_session_factory(),
+        deployment, store.session_factory("buy"),
         n_users=max(64, settings.users // 4),
         think_time=settings.think_time,
         cohort_factor=settings.cohort_factor)

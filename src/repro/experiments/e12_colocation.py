@@ -20,7 +20,7 @@ from __future__ import annotations
 import typing as t
 
 from repro._errors import ConfigurationError
-from repro.apps.registry import get_app
+from repro.apps.runtime import deploy_application
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
@@ -31,7 +31,6 @@ from repro.orchestrator import plan
 from repro.placement.policies import ccx_aware, unpinned
 from repro.services.deployment import Deployment
 from repro.spec.kernels import batch_kernel_profiles
-from repro.teastore.store import build_teastore
 from repro.topology.cpuset import CpuSet
 from repro.workload.batch import BatchKernelWorkload
 from repro.workload.cohorts import closed_workload
@@ -84,6 +83,7 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
         store_ccxs = store_ccxs | machine.cpus_in_ccx(ccx)
     neighbor_ccxs = machine.all_cpus() - store_ccxs
 
+    app = settings.application()
     counts = default_counts(settings)
     mode = point.param("mode")
     neighbor_affinity: CpuSet | None
@@ -96,15 +96,14 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
     else:
         # The spec's demand weights (from E5) partition the store's
         # CCX share.
-        allocation = ccx_aware(machine, counts,
-                               get_app("teastore").placement_weights(),
+        allocation = ccx_aware(machine, counts, app.placement_weights(),
                                online=store_ccxs)
         neighbor_affinity = neighbor_ccxs
 
     deployment = Deployment(machine, seed=settings.seed,
                             memory_config=settings.memory_config)
-    store = build_teastore(deployment, settings.store_config(),
-                           placement=allocation.as_placement())
+    store = deploy_application(deployment, app,
+                               placement=allocation.as_placement())
     neighbor = None
     if neighbor_affinity is not None:
         neighbor = BatchKernelWorkload(
@@ -113,7 +112,7 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
             concurrency=point.param("concurrency"))
         neighbor.start()
     workload = closed_workload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory(),
         n_users=settings.users, think_time=settings.think_time,
         cohort_factor=settings.cohort_factor)
     workload.start()

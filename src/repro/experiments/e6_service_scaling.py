@@ -21,19 +21,17 @@ import typing as t
 
 from repro.analysis.usl import fit_usl
 from repro._errors import ConfigurationError
-from repro.apps.registry import get_app
+from repro.apps.spec import ApplicationSpec
 from repro.experiments.common import (
     ExperimentResult,
     ExperimentSettings,
     Row,
-    default_counts,
     run_store,
 )
 from repro.orchestrator import plan
 from repro.placement.allocation import Allocation, ReplicaPlacement
 from repro.placement.policies import ccx_aware
 from repro.placement.scaling import ScalingCurve
-from repro.teastore.catalog import SERVICE_NAMES
 from repro.topology.model import Machine
 
 TITLE = "Per-service scale-up curves (CCX sweeps + USL fits)"
@@ -63,17 +61,23 @@ def sweep_points(settings: ExperimentSettings,
     """One independent point per (service, CCX-count) pair.
 
     Validation (fit of the ladders next to the fixed others-budget,
-    known service names) happens here, before any simulation work is
-    scheduled.
+    services the active application has) happens here, before any
+    simulation work is scheduled.
     """
     sweeps = sweeps or DEFAULT_SWEEPS
+    services = settings.application().service_names()
+    unknown = [service for service in sweeps if service not in services]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown service(s) {unknown} for application "
+            f"{settings.app!r}; known: {services}")
     machine = settings.machine()
     # The non-target services keep one fixed CCX budget for the whole
     # experiment: as much as possible while still fitting the largest
     # sweep point, and never fewer than one CCX per service.
     total_ccxs = len(machine.ccxs)
     max_point = max(max(ladder) for ladder in sweeps.values())
-    others_budget = max(len(SERVICE_NAMES) - 1, total_ccxs - max_point)
+    others_budget = max(len(services) - 1, total_ccxs - max_point)
     if others_budget + max_point > total_ccxs:
         raise ConfigurationError(
             f"sweep up to {max_point} CCXs does not fit next to "
@@ -81,8 +85,6 @@ def sweep_points(settings: ExperimentSettings,
             f"({total_ccxs} total)")
     points: list[plan.SweepPoint] = []
     for service, ladder in sweeps.items():
-        if service not in SERVICE_NAMES:
-            raise ConfigurationError(f"unknown service {service!r}")
         for n_ccxs in ladder:
             points.append(plan.SweepPoint(
                 "e6", len(points), "ccx-sweep",
@@ -96,9 +98,9 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
     """Measure one (service, CCX-count) allocation."""
     settings = point.settings
     machine = settings.machine()
-    counts = default_counts(settings)
     allocation = _target_allocation(machine, point.param("service"),
-                                    point.param("ccxs"), counts,
+                                    point.param("ccxs"),
+                                    settings.application(),
                                     point.param("others_budget"))
     result, __, __ = run_store(settings, machine=machine,
                                allocation=allocation)
@@ -137,7 +139,7 @@ plan.register_sweep("e6", TITLE, points=sweep_points,
 
 
 def _target_allocation(machine: Machine, target: str, n_ccxs: int,
-                       counts: t.Mapping[str, int],
+                       app: ApplicationSpec,
                        others_budget: int) -> Allocation:
     """Target on the first ``n_ccxs`` CCXs (one replica per CCX); every
     other service keeps a *fixed* budget — the machine's top
@@ -154,14 +156,15 @@ def _target_allocation(machine: Machine, target: str, n_ccxs: int,
                          home_node=machine.ccxs[ccx].node.index)
         for ccx in range(n_ccxs)
     ]
-    others = sorted(set(counts) - {target})
+    others = sorted(set(app.service_names()) - {target})
     rest_online = _cpus_of_ccxs(machine,
                                 range(total_ccxs - others_budget,
                                       total_ccxs))
-    rest_counts = {service: counts[service] for service in others}
+    rest_counts = {service: app.service(service).replicas
+                   for service in others}
     # The spec's demand weights (measured by E5 on the tuned baseline)
     # budget the non-target services generously.
-    weights = get_app("teastore").placement_weights()
+    weights = app.placement_weights()
     rest_weights = {service: weights[service] for service in others}
     rest = ccx_aware(machine, rest_counts, rest_weights,
                      online=rest_online)

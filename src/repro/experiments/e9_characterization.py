@@ -20,7 +20,6 @@ from repro.experiments.common import (
 from repro.metrics.hwcounters import CounterBank
 from repro.orchestrator import plan
 from repro.spec.kernels import KERNEL_NAMES, run_batch_kernels
-from repro.teastore.catalog import SERVICE_NAMES
 
 TITLE = "Microarchitectural characterization: TeaStore vs SPEC-class"
 
@@ -71,7 +70,7 @@ def run_sweep_point(point: plan.SweepPoint) -> plan.Payload:
     if point.kind == "services":
         run_store(settings, machine=machine, counter_sink=bank)
         rows = [_counter_row(bank, name, "microservice")
-                for name in SERVICE_NAMES]
+                for name in settings.application().service_names()]
     else:
         run_batch_kernels(machine, bank,
                           bursts_per_kernel=point.param("kernel_bursts"),

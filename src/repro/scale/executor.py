@@ -9,8 +9,8 @@ coupled at the shared-resource tier through the conservative window
 synchronization in :mod:`repro.scale.sync`:
 
 * **round 0** runs every shard uncoupled and records per-window demand
-  at the shared services (Persistence/DB for TeaStore; the spec's
-  ``shared_services`` otherwise) and the registry;
+  at the shared services (the spec's ``shared_services``:
+  Persistence/DB for TeaStore) and the registry;
 * the driver merges the profiles into per-shard inflation schedules;
 * the **measured round** replays the same seeds with the schedules
   applied through ``ServiceInstance.demand_factor``, and its per-shard
@@ -40,8 +40,8 @@ import os
 import typing as t
 
 from repro._errors import ConfigurationError
-from repro.apps.runtime import Application
-from repro.experiments.common import ExperimentSettings, build_application
+from repro.apps.runtime import Application, deploy_application
+from repro.experiments.common import ExperimentSettings
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.utilization import UtilizationProbe
 from repro.scale.plan import (
@@ -108,7 +108,7 @@ def _run_shard_objects(task: ShardTask
     settings = task.settings
     deployment = Deployment(settings.machine(), seed=task.seed,
                             memory_config=settings.memory_config)
-    store = build_application(settings, deployment)
+    store = deploy_application(deployment, settings.application())
     workload = CohortWorkload(deployment, store.session_factory(),
                               n_users=task.spec.n_users,
                               think_time=settings.think_time,
@@ -350,7 +350,7 @@ def run_sharded(settings: ExperimentSettings,
 
     ``config`` defaults to the settings' ``shards``/``cohort_factor``
     with the standard coupling model (shared services come from the
-    active application's spec for non-TeaStore apps); ``jobs`` defaults to the
+    active application's spec); ``jobs`` defaults to the
     ``REPRO_SCALE_JOBS`` environment variable (else sequential).  The
     result is deterministic for fixed ``(settings, users, seed,
     config)`` regardless of ``jobs`` and cache state.
@@ -358,12 +358,9 @@ def run_sharded(settings: ExperimentSettings,
     users = settings.users if users is None else users
     seed = settings.seed if seed is None else seed
     if config is None:
-        values: dict[str, t.Any] = dict(shards=settings.shards,
-                                        cohort_factor=settings.cohort_factor)
-        if settings.app != "teastore":
-            values["shared_services"] = \
-                settings.application().shared_services
-        config = ScaleConfig(**values)
+        config = ScaleConfig(
+            shards=settings.shards, cohort_factor=settings.cohort_factor,
+            shared_services=settings.application().shared_services)
     if jobs is None:
         jobs = int(os.environ.get(JOBS_ENV, "1") or "1")
     plan = plan_shards(users, config, settings.warmup, settings.duration)

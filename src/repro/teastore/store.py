@@ -1,54 +1,8 @@
-"""Assembly: build and place a whole TeaStore on a deployment."""
+"""An alias of :func:`repro.apps.get_app` and nothing else.
 
-from __future__ import annotations
+``simbench/layers.py`` imports this module and wraps its
+``teastore_app`` attribute; nothing in ``repro`` calls it.  The next
+change to the benchmark removes the import, and this module with it.
+"""
 
-import typing as t
-
-from repro.apps.runtime import Application, Placement, deploy_application
-from repro.apps.teastore_app import teastore_app
-from repro.services.deployment import Deployment
-from repro.services.instance import ServiceInstance
-from repro.teastore.config import TeaStoreConfig
-
-__all__ = ["Placement", "TeaStore", "build_teastore"]
-
-
-class TeaStore(Application):
-    """A deployed store: handles to its replicas and session factories."""
-
-    def __init__(self, deployment: Deployment, config: TeaStoreConfig,
-                 instances: dict[str, list[ServiceInstance]],
-                 spec: t.Any | None = None):
-        super().__init__(deployment, spec or teastore_app(config),
-                         instances)
-        self.config = config
-
-    def browse_session_factory(self):
-        """Session factory for the standard browse profile."""
-        return self.session_factory("browse")
-
-    def buy_session_factory(self):
-        """Session factory for the checkout-heavy buy profile."""
-        return self.session_factory("buy")
-
-    def __repr__(self) -> str:
-        counts = ", ".join(f"{name}×{len(instances)}"
-                           for name, instances in sorted(self.instances.items()))
-        return f"<TeaStore {counts}>"
-
-
-def build_teastore(deployment: Deployment,
-                   config: TeaStoreConfig | None = None,
-                   placement: Placement | None = None) -> TeaStore:
-    """Instantiate every TeaStore service on ``deployment``.
-
-    Without ``placement``, ``config.replicas`` replicas of each service are
-    created unpinned (machine-wide affinity) — the untuned deployment an
-    operator gets out of the box.  With ``placement``, the replica count
-    and affinity of each service come from the placement (which is how the
-    :mod:`repro.placement` policies apply their decisions).
-    """
-    config = config or TeaStoreConfig()
-    app = teastore_app(config)
-    deployed = deploy_application(deployment, app, placement=placement)
-    return TeaStore(deployment, config, deployed.instances, spec=app)
+from repro.apps.registry import get_app as teastore_app  # noqa: F401

@@ -29,6 +29,8 @@ from repro.experiments import (
     e6_service_scaling,
     e7_placement,
     e8_headline,
+    e11_latency_breakdown,
+    e12_colocation,
     e13_fault_tolerance,
     e14_cross_app,
 )
@@ -44,7 +46,8 @@ SEEDS = (1, 2, 3)
 #: Experiment id → (module, golden settings factory).  E8 needs a
 #: machine with >= 6 CCXs (one per service), hence the medium preset;
 #: E6's default CCX ladders only fit next to the fixed others-budget on
-#: the 16-CCX rome machine.
+#: the 16-CCX rome machine.  E11 needs a window long enough to trace a
+#: ``checkout`` request; E12 needs >= 8 CCXs to partition.
 CASES: dict[str, t.Any] = {
     "e2": (e2_load_scaling,
            lambda seed: ExperimentSettings.fast(
@@ -62,6 +65,14 @@ CASES: dict[str, t.Any] = {
            lambda seed: ExperimentSettings.fast(
                preset="medium", users=64, warmup=0.1, duration=0.3,
                seed=seed)),
+    "e11": (e11_latency_breakdown,
+            lambda seed: ExperimentSettings.fast(
+                preset="tiny", users=48, warmup=1.0, duration=0.5,
+                seed=seed)),
+    "e12": (e12_colocation,
+            lambda seed: ExperimentSettings.fast(
+                preset="medium", users=48, warmup=0.1, duration=0.3,
+                seed=seed)),
     "e13": (e13_fault_tolerance,
             lambda seed: ExperimentSettings.fast(
                 preset="tiny", users=32, warmup=0.1, duration=0.25,
@@ -83,6 +94,8 @@ CASES: dict[str, t.Any] = {
 SEEDS_FOR: dict[str, tuple[int, ...]] = {
     "e6": (1,),
     "e7": (1,),
+    "e11": (1,),
+    "e12": (1,),
     "e14": (1,),
     "chaos": (1,),
 }

@@ -3,9 +3,9 @@
 Covers the :mod:`repro.apps` layer introduced with the cross-application
 family: eager spec validation (unknown call targets, cycles, negative
 demands, broken role bindings), byte-stable JSON round-trips, the
-bundled-spec lint gate, the TeaStore config substitution, and
-per-application determinism smoke digests for the two non-TeaStore
-graphs on every kernel backend.
+bundled-spec lint gate, the experiments honouring the active
+application, and per-application determinism smoke digests for the two
+non-TeaStore graphs on every kernel backend.
 """
 
 import dataclasses
@@ -20,7 +20,6 @@ from repro.apps import (
     APP_NAMES,
     deploy_application,
     get_app,
-    load_bundled,
     loads,
     registry,
     spec_path,
@@ -32,17 +31,18 @@ from repro.apps.spec import (
     ServiceDef,
     SessionDef,
 )
-from repro.apps.teastore_app import teastore_app
 from repro.chaos.catalog import builtin_catalog, resolve_target
+from repro.experiments import e6_service_scaling, e11_latency_breakdown
+from repro.experiments import e12_colocation
 from repro.experiments.common import (
     ExperimentSettings,
     default_counts,
     run_store,
 )
+from repro.placement.policies import ccx_aware
 from repro.services.deployment import Deployment
 from repro.sim import kernel
 from repro.memory.profile import WorkloadProfile
-from repro.teastore.config import TeaStoreConfig
 
 from tests._kernels import backend_params
 
@@ -228,58 +228,6 @@ def test_spec_round_trip_is_byte_stable(name):
     assert reloaded.to_dict() == spec.to_dict()
 
 
-def _leaves(value, path=()):
-    """Every scalar in a JSON-native value, keyed by its path."""
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, list):
-        items = enumerate(value)
-    else:
-        return {path: value}
-    leaves = {}
-    for key, item in items:
-        leaves.update(_leaves(item, path + (key,)))
-    return leaves
-
-
-def _spec_location(service, endpoint, key):
-    """The path of ``key`` in the single step of service.endpoint."""
-    spec = load_bundled("teastore")
-    s_index = spec.service_names().index(service)
-    e_index = spec.services[s_index].endpoint_names().index(endpoint)
-    return ("services", s_index, "endpoints", e_index, "steps", 0, key)
-
-
-def test_teastore_app_substitutes_config_fields():
-    assert teastore_app(TeaStoreConfig()).to_dict() == \
-        load_bundled("teastore").to_dict()
-    default = _leaves(load_bundled("teastore").to_dict())
-    db = load_bundled("teastore").service_names().index("db")
-    cases = {
-        "replicas": ({"db": 5}, ("services", db, "replicas"), 5),
-        "workers": ({"db": 7}, ("services", db, "workers"), 7),
-        "demand_scale": (1.5, ("demand_scale",), 1.5),
-        "demand_cv": (0.5, ("demand_cv",), 0.5),
-        "image_cache_hit_rate": (
-            0.5, _spec_location("image", "get", "hit_rate"), 0.5),
-        "image_preview_hit_rate": (
-            0.5, _spec_location("image", "get_batch", "hit_rate"), 0.5),
-        "db_read_serial_fraction": (
-            0.5, _spec_location("db", "read", "serial_fraction"), 0.5),
-        "db_write_serial_fraction": (
-            0.5, _spec_location("db", "write", "serial_fraction"), 0.5),
-    }
-    assert set(cases) == {field.name
-                          for field in dataclasses.fields(TeaStoreConfig)}
-    for field, (value, location, expected) in cases.items():
-        changed = _leaves(teastore_app(
-            TeaStoreConfig(**{field: value})).to_dict())
-        assert changed.keys() == default.keys()
-        diff = {path: changed[path] for path in default
-                if changed[path] != default[path]}
-        assert diff == {location: expected}, field
-
-
 def test_verify_bundled_reports_no_problems():
     assert verify_bundled() == []
 
@@ -352,9 +300,46 @@ def test_default_counts_follow_the_active_application():
         "frontend").replicas
 
 
-def test_run_store_rejects_teastore_overrides_for_other_apps():
-    with pytest.raises(ConfigurationError, match="TeaStore-specific"):
-        run_store(_settings("boutique"), store_config=TeaStoreConfig())
+def test_run_store_deploys_an_allocation_for_any_app():
+    # One CCX per service: boutique's 11 services need the 16-CCX machine.
+    settings = dataclasses.replace(_settings("boutique"), preset="rome-1s")
+    machine = settings.machine()
+    app = settings.application()
+    counts = {name: 1 for name in app.service_names()}
+    counts["frontend"] = 2
+    allocation = ccx_aware(machine, counts, app.placement_weights())
+    __, __, store = run_store(settings, allocation=allocation)
+    assert store.replica_counts() == allocation.replica_counts()
+    for name in app.service_names():
+        assert [(replica.affinity, replica.home_node)
+                for replica in store.replicas(name)] == \
+            [(placed.affinity, placed.home_node)
+             for placed in allocation.replicas(name)]
+
+
+def test_e6_rejects_services_the_app_lacks_when_planning():
+    settings = ExperimentSettings.fast(preset="rome-1s", app="boutique")
+    with pytest.raises(ConfigurationError, match="unknown service") as info:
+        e6_service_scaling.sweep_points(settings)
+    assert "frontend" in str(info.value)
+    ladders = {"frontend": (1, 2), "cart": (1, 2)}
+    points = e6_service_scaling.sweep_points(settings, ladders)
+    assert [point.param("service") for point in points] == \
+        ["frontend", "frontend", "cart", "cart"]
+
+
+def test_e11_needs_a_buy_session():
+    with pytest.raises(ConfigurationError, match="buy") as info:
+        e11_latency_breakdown.sweep_points(_settings("boutique"))
+    assert "purchase" in str(info.value)
+
+
+def test_e12_partitions_the_active_application():
+    settings = dataclasses.replace(_settings("boutique"), preset="rome-1s")
+    [point] = [point for point in e12_colocation.sweep_points(settings)
+               if point.param("mode") == "partitioned"]
+    payload = e12_colocation.run_sweep_point(point)
+    assert payload["store_rps"] > 0
 
 
 def test_replicas_error_names_the_apps_own_services():

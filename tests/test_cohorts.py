@@ -4,11 +4,10 @@ recoverability of individual members by seed."""
 import pytest
 
 from repro._errors import WorkloadError
+from repro.apps import deploy_application
 from repro.experiments import ExperimentSettings
 from repro.services.deployment import Deployment
 from repro.sim import kernel
-from repro.teastore.profiles import browse_profile
-from repro.teastore.store import build_teastore
 from repro.workload.closed import ClosedLoopWorkload
 from repro.workload.runner import run_experiment
 from repro.workload.cohorts import (
@@ -19,6 +18,7 @@ from repro.workload.cohorts import (
     plan_cohorts,
 )
 
+from ._apps import browse_profile
 from ._kernels import backend_params
 
 
@@ -30,9 +30,9 @@ def tiny():
 def _run(settings, workload_cls, **workload_kwargs):
     deployment = Deployment(settings.machine(), seed=settings.seed,
                             memory_config=settings.memory_config)
-    store = build_teastore(deployment, settings.store_config())
+    store = deploy_application(deployment, settings.application())
     workload = workload_cls(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory("browse"),
         n_users=settings.users, think_time=settings.think_time,
         **workload_kwargs)
     result = run_experiment(deployment, workload,
@@ -75,9 +75,9 @@ class TestPlanning:
     def test_explicit_cohorts_must_cover_population(self):
         settings = tiny()
         deployment = Deployment(settings.machine(), seed=1)
-        store = build_teastore(deployment, settings.store_config())
+        store = deploy_application(deployment, settings.application())
         with pytest.raises(WorkloadError):
-            CohortWorkload(deployment, store.browse_session_factory(),
+            CohortWorkload(deployment, store.session_factory("browse"),
                            n_users=10, cohorts=[Cohort(0, 4)])
 
 
@@ -98,9 +98,9 @@ class TestWeightOneExactness:
     def test_funnel_returns_cohort_workload(self):
         settings = tiny()
         deployment = Deployment(settings.machine(), seed=1)
-        store = build_teastore(deployment, settings.store_config())
+        store = deploy_application(deployment, settings.application())
         workload = closed_workload(deployment,
-                                   store.browse_session_factory(),
+                                   store.session_factory("browse"),
                                    n_users=8,
                                    think_time=settings.think_time)
         assert isinstance(workload, CohortWorkload)
@@ -134,8 +134,8 @@ class TestExpansion:
         settings = tiny()
         deployment = Deployment(settings.machine(), seed=settings.seed,
                                 memory_config=settings.memory_config)
-        store = build_teastore(deployment, settings.store_config())
-        factory = store.browse_session_factory()
+        store = deploy_application(deployment, settings.application())
+        factory = store.session_factory("browse")
         recorded: dict[int, list] = {}
 
         def recording_factory(user_id):

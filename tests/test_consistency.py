@@ -1,5 +1,9 @@
 """Consistency invariants across the package: catalogs, exports, wiring."""
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 import repro
@@ -17,7 +21,8 @@ def test_star_import_is_clean():
     namespace: dict = {}
     exec("from repro import *", namespace)  # noqa: S102 - deliberate
     assert "Deployment" in namespace
-    assert "build_teastore" in namespace
+    assert "deploy_application" in namespace
+    assert "get_app" in namespace
 
 
 def _steps():
@@ -115,3 +120,45 @@ def test_benchmark_files_exist_for_every_experiment():
 
 def test_version_is_exported():
     assert repro.__version__ == "1.0.0"
+
+
+_COUNT_SPEC_PARSES = textwrap.dedent("""
+    import importlib.machinery
+    import sys
+
+    calls = []
+
+    class WrapLoadFile:
+        # Wraps repro.apps.spec.load_file as soon as that module runs,
+        # before the rest of ``import repro`` continues.
+        def find_spec(self, name, path, target=None):
+            if name != "repro.apps.spec":
+                return None
+            spec = importlib.machinery.PathFinder.find_spec(name, path)
+            run = spec.loader.exec_module
+
+            def exec_module(module):
+                run(module)
+                load_file = module.load_file
+
+                def counted(*args, **kwargs):
+                    calls.append(args)
+                    return load_file(*args, **kwargs)
+                module.load_file = counted
+            spec.loader.exec_module = exec_module
+            return spec
+
+    sys.meta_path.insert(0, WrapLoadFile())
+    import repro
+    import repro.chaos
+    import repro.cli
+    import repro.experiments
+    assert "repro.apps.spec" in sys.modules
+    print(len(calls))
+""")
+
+
+def test_importing_repro_parses_no_spec():
+    out = subprocess.run([sys.executable, "-c", _COUNT_SPEC_PARSES],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"

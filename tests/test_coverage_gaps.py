@@ -158,21 +158,17 @@ def test_steal_counter_increments():
 # ---------------------------------------------------------------------------
 
 def test_run_result_latency_by_endpoint():
+    from repro.apps import deploy_application
     from repro.services import Deployment
-    from repro.teastore import build_teastore
-    from repro.teastore.config import TeaStoreConfig
     from repro.topology import small_numa_machine
     from repro.workload import ClosedLoopWorkload, run_experiment
 
+    from tests._apps import teastore_variant
+
     deployment = Deployment(small_numa_machine(), seed=1)
-    config = TeaStoreConfig(
-        replicas={"webui": 2, "auth": 1, "persistence": 1, "image": 1,
-                  "recommender": 1, "db": 1},
-        workers={"webui": 32, "auth": 8, "persistence": 16, "image": 8,
-                 "recommender": 8, "db": 16})
-    store = build_teastore(deployment, config)
+    store = deploy_application(deployment, teastore_variant())
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory("browse"),
         n_users=24, think_time=0.03)
     result = run_experiment(deployment, workload, warmup=0.8, duration=2.0)
     assert "category" in result.latency_by_endpoint

@@ -19,8 +19,8 @@ from repro.experiments import (
     e10_numa,
     e11_latency_breakdown,
 )
+from repro.apps import get_app
 from repro.experiments.common import format_table
-from repro.teastore.catalog import SERVICE_NAMES
 
 
 def fast(**overrides):
@@ -38,8 +38,14 @@ def test_settings_profiles():
 
 
 def test_store_config_sized_to_machine():
-    assert ExperimentSettings.fast().store_config().replica_count("webui") == 2
-    assert ExperimentSettings.full().store_config().replica_count("webui") == 4
+    assert ExperimentSettings.fast().application().service(
+        "webui").replicas == 2
+    assert ExperimentSettings.full().application().service(
+        "webui").replicas == 4
+    for preset in ("medium", "small", "tiny", "rome-1s", "rome-2s"):
+        settings = ExperimentSettings(preset=preset)
+        assert settings.application() == get_app(
+            "teastore", fast=preset in ("medium", "small", "tiny"))
 
 
 def test_format_table_alignment_and_empty():
@@ -97,7 +103,7 @@ def test_e4_smt_gives_uplift():
 def test_e5_utilization_covers_all_services_and_sums_to_one():
     result = e5_utilization.run(fast())
     services = set(result.column("service"))
-    assert services == set(SERVICE_NAMES)
+    assert services == set(get_app("teastore").service_names())
     shares = result.column("cpu_share_pct")
     assert sum(shares) == pytest.approx(100.0)
     assert shares == sorted(shares, reverse=True)

@@ -4,13 +4,14 @@ import pytest
 
 from repro._errors import ConfigurationError, ServiceUnavailableError
 from repro._units import ms
+from repro.apps import deploy_application
 from repro.cpu import FlatFrequencyModel, SmtModel
 from repro.memory import WorkloadProfile
 from repro.services import Deployment, ServiceSpec
 from repro.topology import small_numa_machine, tiny_machine
 from repro.workload import ClosedLoopWorkload, FaultInjector, run_experiment
-from repro.teastore import build_teastore
-from repro.teastore.config import TeaStoreConfig
+
+from tests._apps import teastore_variant
 
 
 def echo_system(replicas=2, demand=ms(1.0)):
@@ -127,16 +128,11 @@ def test_teastore_survives_webui_replica_loss():
     """Integration: kill one WebUI replica mid-run; the store keeps
     serving through the remaining ones with only transient errors."""
     deployment = Deployment(small_numa_machine(), seed=2)
-    config = TeaStoreConfig(
-        replicas={"webui": 2, "auth": 1, "persistence": 1, "image": 1,
-                  "recommender": 1, "db": 1},
-        workers={"webui": 32, "auth": 8, "persistence": 16, "image": 8,
-                 "recommender": 8, "db": 16})
-    store = build_teastore(deployment, config)
+    store = deploy_application(deployment, teastore_variant())
     injector = FaultInjector(deployment)
     injector.kill_at(1.5, "webui", replica_index=0)
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory("browse"),
         n_users=24, think_time=0.05)
     result = run_experiment(deployment, workload, warmup=1.0, duration=2.0)
     assert len(injector.kills()) == 1

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.apps import get_app
 from repro.metrics import CounterBank
 from repro.spec import KERNEL_NAMES, batch_kernel_profiles, run_batch_kernels
-from repro.teastore import service_profiles
 from repro.topology import small_numa_machine
 
 
@@ -17,7 +17,7 @@ def test_kernels_are_the_anti_microservice():
     """The characterization contrast: small code, high IPC, low
     front-end sensitivity — the opposite of the TeaStore services."""
     kernels = batch_kernel_profiles()
-    services = service_profiles()
+    services = get_app("teastore").profiles()
     max_kernel_code = max(p.code_bytes for p in kernels.values())
     min_service_code = min(p.code_bytes for p in services.values())
     assert max_kernel_code < min_service_code

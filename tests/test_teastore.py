@@ -1,21 +1,24 @@
-"""Unit + integration tests for the TeaStore application model."""
+"""Unit + integration tests for the TeaStore application model: the
+bundled ``teastore.json`` spec deployed through the generic runtime."""
 
 import pytest
 
 from repro._errors import ConfigurationError, WorkloadError
 from repro.services import Deployment
-from repro.apps import build_service_specs, load_bundled
-from repro.apps.teastore_app import teastore_app
-from repro.teastore import (
-    MarkovSessionProfile,
-    SERVICE_NAMES,
-    TeaStoreConfig,
-    browse_profile,
-    build_teastore,
-    service_profiles,
+from repro.apps import (
+    ApplicationSpec,
+    build_service_specs,
+    deploy_application,
+    get_app,
+    load_bundled,
 )
 from repro.topology import small_numa_machine, tiny_machine
 from repro.workload import ClosedLoopWorkload, run_experiment
+from repro.workload.sessions import MarkovSessionProfile
+
+from tests._apps import browse_profile, teastore_variant
+
+SERVICE_NAMES = load_bundled("teastore").service_names()
 
 
 def transitions(session):
@@ -23,46 +26,34 @@ def transitions(session):
     return load_bundled("teastore").session(session).transitions
 
 
-def small_config(**kwargs):
-    """A store sized for the 32-lcpu test machine."""
-    defaults = dict(
-        replicas={"webui": 2, "auth": 1, "persistence": 1, "image": 1,
-                  "recommender": 1, "db": 1},
-        workers={"webui": 32, "auth": 8, "persistence": 16, "image": 8,
-                 "recommender": 8, "db": 16},
-    )
-    defaults.update(kwargs)
-    return TeaStoreConfig(**defaults)
+def build_store(deployment, app=None, placement=None):
+    return deploy_application(deployment, app or teastore_variant(),
+                              placement=placement)
 
 
 # ---------------------------------------------------------------------------
-# Config
+# Spec defaults
 # ---------------------------------------------------------------------------
 
 def test_config_defaults_cover_all_services():
-    config = TeaStoreConfig()
-    for name in SERVICE_NAMES:
-        assert config.replica_count(name) >= 1
-        assert config.worker_count(name) >= 1
+    for fast in (False, True):
+        for service in get_app("teastore", fast=fast).services:
+            assert service.replicas >= 1
+            assert service.workers >= 1
 
 
-def test_config_validation():
+def test_calibration_values_out_of_range_raise():
+    """Calibration lives in the spec, so the spec validator guards it."""
     with pytest.raises(ConfigurationError):
-        TeaStoreConfig(replicas={"ghost": 1})
+        teastore_variant(sizing={"webui": (0, 32)})
     with pytest.raises(ConfigurationError):
-        TeaStoreConfig(replicas={"webui": 0})
+        teastore_variant(steps=(("image", "get", "hit_rate", 1.5),))
     with pytest.raises(ConfigurationError):
-        TeaStoreConfig(demand_scale=0.0)
+        teastore_variant(steps=(("db", "read", "serial_fraction", -0.1),))
+    data = load_bundled("teastore").to_dict()
+    data["demand_scale"] = 0.0
     with pytest.raises(ConfigurationError):
-        TeaStoreConfig(image_cache_hit_rate=1.5)
-    with pytest.raises(ConfigurationError):
-        TeaStoreConfig(db_read_serial_fraction=-0.1)
-
-
-def test_config_with_replicas_override():
-    config = TeaStoreConfig().with_replicas(webui=8)
-    assert config.replica_count("webui") == 8
-    assert config.replica_count("db") == 1
+        ApplicationSpec.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +62,7 @@ def test_config_with_replicas_override():
 
 def test_browse_profile_states_match_webui_endpoints():
     profile = browse_profile()
-    specs = build_service_specs(teastore_app())
+    specs = build_service_specs(get_app("teastore"))
     webui_endpoints = set(specs["webui"].endpoints)
     assert set(profile.states) <= webui_endpoints
     assert set(profile.states) == set(transitions("browse"))
@@ -128,7 +119,7 @@ def test_stationary_mix_dominated_by_browsing():
 # ---------------------------------------------------------------------------
 
 def test_profiles_exist_for_all_services():
-    profiles = service_profiles()
+    profiles = get_app("teastore").profiles()
     assert set(profiles) == set(SERVICE_NAMES)
     for name, profile in profiles.items():
         assert profile.name == name
@@ -136,7 +127,7 @@ def test_profiles_exist_for_all_services():
 
 def test_microservice_profiles_are_frontend_hungry():
     # The characterization contrast rests on these relationships.
-    profiles = service_profiles()
+    profiles = get_app("teastore").profiles()
     for name in ("webui", "auth", "persistence"):
         assert profiles[name].frontend_intensity >= 0.5
         assert profiles[name].l1i_mpki >= 20.0
@@ -144,7 +135,7 @@ def test_microservice_profiles_are_frontend_hungry():
 
 
 def test_build_specs_cover_expected_endpoints():
-    specs = build_service_specs(teastore_app())
+    specs = build_service_specs(get_app("teastore"))
     assert set(specs) == set(SERVICE_NAMES)
     assert set(specs["webui"].endpoints) == {
         "home", "login", "category", "product", "add_to_cart", "logout",
@@ -159,7 +150,7 @@ def test_build_specs_cover_expected_endpoints():
 
 def test_build_teastore_default_replicas():
     deployment = Deployment(small_numa_machine(), seed=0)
-    store = build_teastore(deployment, small_config())
+    store = build_store(deployment)
     counts = store.replica_counts()
     assert counts["webui"] == 2
     assert counts["db"] == 1
@@ -168,7 +159,7 @@ def test_build_teastore_default_replicas():
 
 def test_store_replicas_unknown_service_raises():
     deployment = Deployment(small_numa_machine(), seed=0)
-    store = build_teastore(deployment, small_config())
+    store = build_store(deployment)
     with pytest.raises(ConfigurationError):
         store.replicas("ghost")
 
@@ -178,7 +169,7 @@ def test_placement_missing_service_raises():
     deployment = Deployment(machine, seed=0)
     placement = {"webui": [(machine.all_cpus(), None)]}
     with pytest.raises(ConfigurationError):
-        build_teastore(deployment, small_config(), placement=placement)
+        build_store(deployment, placement=placement)
 
 
 def test_placement_controls_replicas_and_affinity():
@@ -190,7 +181,7 @@ def test_placement_controls_replicas_and_affinity():
     }
     placement["webui"] = [(machine.cpus_in_node(0), 0),
                           (machine.cpus_in_node(1), 1)]
-    store = build_teastore(deployment, small_config(), placement=placement)
+    store = build_store(deployment, placement=placement)
     assert store.replica_counts()["webui"] == 2
     assert store.replicas("webui")[1].home_node == 1
     assert store.replicas("db")[0].affinity == machine.cpus_in_node(0)
@@ -198,7 +189,7 @@ def test_placement_controls_replicas_and_affinity():
 
 def test_single_browse_request_end_to_end():
     deployment = Deployment(small_numa_machine(), seed=0)
-    build_teastore(deployment, small_config())
+    build_store(deployment)
     done = deployment.dispatch("webui", "product")
     deployment.run()
     assert done.ok
@@ -211,9 +202,9 @@ def test_single_browse_request_end_to_end():
 
 def test_store_under_load_produces_sane_metrics():
     deployment = Deployment(small_numa_machine(), seed=3)
-    store = build_teastore(deployment, small_config())
+    store = build_store(deployment)
     workload = ClosedLoopWorkload(
-        deployment, store.browse_session_factory(),
+        deployment, store.session_factory("browse"),
         n_users=32, think_time=0.05)
     result = run_experiment(deployment, workload, warmup=1.0, duration=3.0)
     assert result.throughput > 50
@@ -231,12 +222,12 @@ def test_db_serialization_caps_persistence_scaling():
     serial fraction must cap throughput well below linear."""
     def run(serial_fraction):
         deployment = Deployment(small_numa_machine(), seed=5)
-        config = small_config(
-            db_read_serial_fraction=serial_fraction,
-            db_write_serial_fraction=serial_fraction)
-        store = build_teastore(deployment, config)
+        app = teastore_variant(steps=(
+            ("db", "read", "serial_fraction", serial_fraction),
+            ("db", "write", "serial_fraction", serial_fraction)))
+        store = build_store(deployment, app)
         workload = ClosedLoopWorkload(
-            deployment, store.browse_session_factory(),
+            deployment, store.session_factory("browse"),
             n_users=64, think_time=0.0)
         return run_experiment(deployment, workload,
                               warmup=1.0, duration=2.0).throughput
@@ -247,10 +238,10 @@ def test_db_serialization_caps_persistence_scaling():
 def test_image_cache_hit_rate_changes_cost():
     def run(hit_rate):
         deployment = Deployment(small_numa_machine(), seed=7)
-        store = build_teastore(
-            deployment, small_config(image_cache_hit_rate=hit_rate))
+        store = build_store(deployment, teastore_variant(
+            steps=(("image", "get", "hit_rate", hit_rate),)))
         workload = ClosedLoopWorkload(
-            deployment, store.browse_session_factory(),
+            deployment, store.session_factory("browse"),
             n_users=48, think_time=0.0)
         return run_experiment(deployment, workload,
                               warmup=1.0, duration=2.0)
@@ -266,9 +257,9 @@ def test_same_process_rerun_is_bit_identical():
     (this once broke via the image batch sampler)."""
     def once():
         deployment = Deployment(small_numa_machine(), seed=9)
-        store = build_teastore(deployment, small_config())
+        store = build_store(deployment)
         workload = ClosedLoopWorkload(
-            deployment, store.browse_session_factory(),
+            deployment, store.session_factory("browse"),
             n_users=16, think_time=0.02)
         result = run_experiment(deployment, workload,
                                 warmup=0.5, duration=1.0)
@@ -279,9 +270,9 @@ def test_same_process_rerun_is_bit_identical():
 
 def test_buy_profile_exercises_checkout():
     deployment = Deployment(small_numa_machine(), seed=4)
-    store = build_teastore(deployment, small_config())
+    store = build_store(deployment)
     workload = ClosedLoopWorkload(
-        deployment, store.buy_session_factory(),
+        deployment, store.session_factory("buy"),
         n_users=24, think_time=0.02)
     result = run_experiment(deployment, workload, warmup=0.8, duration=2.0)
     assert result.errors == 0
@@ -293,20 +284,20 @@ def test_buy_profile_exercises_checkout():
 
 
 def test_buy_profile_stresses_db_more_than_browse():
-    def share(factory_name):
+    def share(session):
         deployment = Deployment(small_numa_machine(), seed=4)
-        store = build_teastore(deployment, small_config())
-        factory = getattr(store, factory_name)()
+        store = build_store(deployment)
+        factory = store.session_factory(session)
         workload = ClosedLoopWorkload(deployment, factory,
                                       n_users=48, think_time=0.0)
         result = run_experiment(deployment, workload,
                                 warmup=0.8, duration=2.0)
         return result.service_share["db"]
 
-    assert share("buy_session_factory") > share("browse_session_factory")
+    assert share("buy") > share("browse")
 
 
 def test_store_repr_lists_counts():
     deployment = Deployment(small_numa_machine(), seed=0)
-    store = build_teastore(deployment, small_config())
+    store = build_store(deployment)
     assert "webui×2" in repr(store)

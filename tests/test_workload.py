@@ -164,18 +164,16 @@ def test_run_experiment_rejects_empty_measurement_window():
 
 
 def test_weighted_mix_drives_real_store():
-    from repro.teastore import build_teastore
-    from repro.teastore.config import TeaStoreConfig
+    from repro.apps import deploy_application
     from repro.topology import small_numa_machine
     from repro.workload import weighted_mix_session
 
+    from tests._apps import teastore_variant
+
     deployment = Deployment(small_numa_machine(), seed=2)
-    config = TeaStoreConfig(
-        replicas={"webui": 1, "auth": 1, "persistence": 1, "image": 1,
-                  "recommender": 1, "db": 1},
-        workers={"webui": 16, "auth": 8, "persistence": 8, "image": 8,
-                 "recommender": 8, "db": 8})
-    build_teastore(deployment, config)
+    deploy_application(deployment, teastore_variant(sizing={
+        "webui": (1, 16), "auth": (1, 8), "persistence": (1, 8),
+        "image": (1, 8), "recommender": (1, 8), "db": (1, 8)}))
     mix = {("webui", "home", None): 0.5,
            ("webui", "product", None): 0.5}
     workload = ClosedLoopWorkload(
